@@ -22,11 +22,19 @@ PCG64 generator seeded by ``seed``.  Both simulation paths read the same
 quadruples, so a (config, seed) pair yields a bit-identical record
 whether it runs through the compiled transition tables or the reference
 stabilizer frame, on any host, with any chunk size.
+
+The table path works a chunk at a time.  It encodes each photon's
+decisions into a 6-bit step code, then walks the frontier chain as a
+prefix scan: every code acts on the six frontier states as a map, the 64
+maps close under composition into 66, and composing them pairwise over a
+chunk yields every photon's entry state in O(log chunk) numpy calls.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import math
+from dataclasses import dataclass, fields
+from operator import itemgetter
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +46,7 @@ try:  # pragma: no cover - exercised implicitly by the fast path
 except ImportError:  # pragma: no cover
     _numba = None
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16  # keeps a chunk's scan working set in cache
 _AXES = "XYZ"
 # fin codes: 0 = detect X, 1 = detect Y, 2 = detect Z, 3 = lost
 FIN_LOST = 3
@@ -60,6 +68,9 @@ class ExperimentConfig:
     tau_em: float = 1e-9
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         if self.n_photons < 1:
             raise ValueError("n_photons must be >= 1")
         if not 0.0 <= self.p_d <= 1.0:
@@ -103,37 +114,58 @@ def _fin_choice(u: float, p_d: float, q_x: float, q_xy: float) -> int:
     return int(v >= q_x) + int(v >= q_xy)
 
 
-def _draw_chunk(cfg: ExperimentConfig, uniforms: np.ndarray,
-                forced: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
-    m = uniforms.shape[0]
-    if cfg.p_sigma > 0.0:
-        fire = uniforms[:, 0] < cfg.p_sigma
-        which = np.minimum(uniforms[:, 0] * (3.0 / cfg.p_sigma), 2.0).astype(np.uint8)
-        sp = np.where(fire, which + 1, 0).astype(np.uint8)
-    else:
-        sp = np.zeros(m, dtype=np.uint8)
-    zz = (uniforms[:, 1] < cfg.p_zz).astype(np.uint8)
+def _encode_chunk(cfg: ExperimentConfig, uniforms: np.ndarray,
+                  forced: Optional[np.ndarray], enc: np.ndarray,
+                  scratch: np.ndarray, v: np.ndarray) -> None:
+    """Write each photon's own decisions as ``sp*16 + fin*2 + coin`` into enc.
+
+    The vector form of ``_sigma_choice`` / ``_fin_choice`` plus the coin;
+    the pair-error bit (8) belongs to the step that finalizes the photon,
+    so the caller adds it one slot later.  ``scratch`` (uint8) and ``v``
+    (float64) are work buffers of the same length as ``enc``.
+    """
     if forced is not None:
-        fin = forced
+        np.add(forced, forced, out=enc)
     elif cfg.p_d > 0.0:
-        v = uniforms[:, 2] / cfg.p_d
-        basis = (v >= cfg.q_x).astype(np.uint8) + (v >= cfg.q_x + cfg.q_y).astype(np.uint8)
-        fin = np.where(uniforms[:, 2] < cfg.p_d, basis, FIN_LOST).astype(np.uint8)
+        u = uniforms[:, 2]
+        np.divide(u, cfg.p_d, out=v)
+        np.greater_equal(v, cfg.q_x, out=enc)
+        np.greater_equal(v, cfg.q_x + cfg.q_y, out=scratch)
+        enc += scratch
+        np.greater_equal(u, cfg.p_d, out=scratch)
+        scratch *= FIN_LOST   # basis | 3 == 3: a lost photon overrides it
+        enc |= scratch
+        enc <<= 1
     else:
-        fin = np.full(m, FIN_LOST, dtype=np.uint8)
-    coin = (uniforms[:, 3] >= 0.5).astype(np.uint8)
-    return sp, zz, fin, coin
+        enc.fill(FIN_LOST * 2)
+    np.greater_equal(uniforms[:, 3], 0.5, out=scratch)
+    enc += scratch
+    if cfg.p_sigma > 0.0:
+        fired = np.flatnonzero(uniforms[:, 0] < cfg.p_sigma)
+        which = np.minimum(uniforms[fired, 0] * (3.0 / cfg.p_sigma),
+                           2.0).astype(np.uint8)
+        which += 1
+        which <<= 4
+        enc[fired] += which
 
 
 # ---------------------------------------------------------------------------
 # Transition tables.  The per-photon update is a 6-state Markov chain over
 # the frontier qubit's eigenstate (letter in {X, Y, Z}, sign in {+, -});
 # the state captures the newest photon before its own deferred Pauli and
-# finalization.  Every entry is produced by driving the exact
-# StabilizerFrame through one pipeline step, so the fast path is a
+# finalization.  A step is selected by a 6-bit code
+# ``sp*16 + zz*8 + fin*2 + coin``.  Every entry is produced by driving the
+# exact StabilizerFrame through one pipeline step, so the fast path is a
 # memoization of the engine, not a reimplementation.
+#
+# Each code's next-state column is a map on the 6 states.  Closing the 64
+# maps under composition gives 66 maps (identity included), so a chunk's
+# walk can be composed pairwise as a prefix scan and the lookups that scan
+# needs (code -> map id, compose, apply) are derived from the same tables.
 
 _STATE_LETTERS = ("X", "Y", "Z")
+# Map ids are stored as uint8 and a pair of them indexes a 2^16 table.
+_MAX_MAPS = 256
 
 
 def _state_index(letter: str, sign: int) -> int:
@@ -163,7 +195,51 @@ def _finalize_to_byte(frame: StabilizerFrame, qubit: int, fin: int, coin_u: floa
     return encode_event(fin + 1, outcome)
 
 
-def _build_tables() -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+class _ChainTables(NamedTuple):
+    init: int                   # frontier state after the first emission
+    out: np.ndarray             # (6*64,) event byte at [state << 6 | code]
+    next_state: np.ndarray      # (6, 64) frontier state after the step
+    final: np.ndarray           # (6, 64) last photon's byte; zz bit unused
+    code_map: np.ndarray        # (64,) map id of each code's step
+    compose_pairs: np.ndarray   # (2^16,) id of "a then b", indexed by the
+                                # uint16 view of the adjacent bytes (a, b)
+    apply: np.ndarray           # (ids*8,) image of state s at [id << 3 | s]
+
+
+def _map_closure(table_next: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Close the per-code state maps under composition; id 0 is the identity.
+
+    Returns the code -> map id, compose and apply lookups of ``_ChainTables``.
+    """
+    steps = [tuple(table_next[:, code].tolist()) for code in range(64)]
+    maps = [tuple(range(6))]
+    ids = {maps[0]: 0}
+    for first in maps:  # breadth first: maps grows while it is walked
+        then_step = itemgetter(*first)  # step -> (step[first[s]] for each s)
+        for step in steps:
+            composed = then_step(step)
+            if composed not in ids:
+                if len(maps) == _MAX_MAPS:
+                    raise RuntimeError(
+                        f"frontier maps exceed {_MAX_MAPS} under composition")
+                ids[composed] = len(maps)
+                maps.append(composed)
+    image = np.array(maps, dtype=np.uint8)
+    k = len(maps)
+    # then[a, b, s] = image[b, image[a, s]]: map a followed by map b
+    then = image[np.arange(k)[None, :, None], image[:, None, :]]
+    compose = np.zeros((_MAX_MAPS, _MAX_MAPS), dtype=np.uint8)
+    compose[:k, :k] = np.reshape(
+        [ids[row] for row in map(tuple, then.reshape(-1, 6).tolist())], (k, k))
+    pairs = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
+    compose_pairs = compose[pairs[:, 0], pairs[:, 1]]
+    apply = np.zeros((k, 8), dtype=np.uint8)
+    apply[:, :6] = image
+    code_map = np.array([ids[step] for step in steps], dtype=np.uint8)
+    return code_map, compose_pairs, apply.ravel()
+
+
+def _build_tables() -> _ChainTables:
     frame = StabilizerFrame()
     frame.emit_qubit(0)
     letter, sign = frame.single_qubit_state(0)
@@ -171,6 +247,7 @@ def _build_tables() -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
 
     out = np.zeros((6, 64), dtype=np.uint8)
     nxt = np.zeros((6, 64), dtype=np.uint8)
+    final = np.zeros((6, 64), dtype=np.uint8)
     for state in range(6):
         for sp in range(4):
             for zz in range(2):
@@ -186,23 +263,20 @@ def _build_tables() -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
                         out[state, code] = byte
                         nxt[state, code] = _state_index(letter.value, sign)
 
-    final = np.zeros((6, 32), dtype=np.uint8)
-    for state in range(6):
-        for sp in range(4):
             for fin in range(4):
                 for coin in range(2):
                     frame = _frame_for_state(state)
                     if sp:
                         frame.apply_pauli(PauliString.single(_AXES[sp - 1], 0))
-                    final[state, (sp * 4 + fin) * 2 + coin] = _finalize_to_byte(
+                    final[state, (sp * 8 + fin) * 2 + coin] = _finalize_to_byte(
                         frame, 0, fin, 0.25 if coin == 0 else 0.75)
-    return init, out, nxt, final
+    return _ChainTables(init, out.ravel(), nxt, final, *_map_closure(nxt))
 
 
-_TABLES: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
+_TABLES: Optional[_ChainTables] = None
 
 
-def _tables() -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _tables() -> _ChainTables:
     global _TABLES
     if _TABLES is None:
         _TABLES = _build_tables()
@@ -210,18 +284,51 @@ def _tables() -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Chain execution kernels.
+# Chain execution kernels.  Without numba the walk over a chunk is a
+# work-efficient prefix scan (Blelloch 1990) over the map ids: an up-sweep
+# composes adjacent maps pairwise, a down-sweep hands each photon its entry
+# state, and one gather through the output table writes the event bytes.
+# Each level is a few numpy calls, so there is no per-photon Python.  The
+# optional numba kernel walks the same codes one by one.
 
-def _run_chain_py(codes: np.ndarray, out: np.ndarray, state: int,
-                  table_out: np.ndarray, table_next: np.ndarray) -> int:
-    out_rows = [row.tobytes() for row in table_out]
-    next_rows = [row.tobytes() for row in table_next]
-    buf = bytearray(len(codes))
-    for t, c in enumerate(codes.tobytes()):
-        buf[t] = out_rows[state][c]
-        state = next_rows[state][c]
-    out[:] = np.frombuffer(buf, dtype=np.uint8)
-    return state
+def _scan_chain(codes: np.ndarray, out: np.ndarray, state: int,
+                tables: _ChainTables, tree: np.ndarray) -> int:
+    """Write the event bytes of ``codes`` (non-empty) into ``out``.
+
+    ``tree`` is a uint8 work buffer of at least twice the next power of two
+    of ``len(codes)``.  Returns the frontier state after the last step.
+    Every index is in range by construction; ``mode="clip"`` lets ``take``
+    write straight into ``out`` instead of through a temporary.
+    """
+    n = codes.shape[0]
+    size = 1 << (n - 1).bit_length()
+    level = tree[:size]
+    tables.code_map.take(codes, out=level[:n], mode="clip")
+    level[n:] = 0  # identity maps pad the scan to a power of two
+    levels = [level]
+    pos = size
+    while size > 1:  # up-sweep: level k+1 holds the maps of 2^(k+1)-blocks
+        size >>= 1
+        parent = tree[pos:pos + size]
+        tables.compose_pairs.take(level.view(np.uint16), out=parent, mode="clip")
+        levels.append(parent)
+        pos += size
+        level = parent
+    end = int(tables.apply[(int(level[0]) << 3) | state])
+    entry = np.full(1, state, dtype=np.uint8)
+    for level in reversed(levels[:-1]):  # down-sweep: entry state per block
+        child = np.empty(level.shape[0], dtype=np.uint8)
+        child[0::2] = entry
+        index = level[0::2].astype(np.uint16)
+        index <<= 3
+        index |= entry
+        tables.apply.take(index, out=child[1::2], mode="clip")
+        entry = child
+    index = entry[:n].astype(np.uint16)
+    index <<= 6
+    index |= codes
+    tables.out.take(index, out=out, mode="clip")
+    return end
 
 
 if _numba is not None:
@@ -237,11 +344,11 @@ else:  # pragma: no cover
 
 
 def _run_chain(codes: np.ndarray, out: np.ndarray, state: int,
-               table_out: np.ndarray, table_next: np.ndarray) -> int:
+               tables: _ChainTables, tree: np.ndarray) -> int:
     if _run_chain_numba is not None:
         return int(_run_chain_numba(codes, out, np.int64(state),
-                                    table_out, table_next))
-    return _run_chain_py(codes, out, state, table_out, table_next)
+                                    tables.out.reshape(6, 64), tables.next_state))
+    return _scan_chain(codes, out, state, tables, tree)
 
 
 def _normalize_forced(forced_bases, n: int) -> Optional[np.ndarray]:
@@ -260,31 +367,36 @@ def _normalize_forced(forced_bases, n: int) -> Optional[np.ndarray]:
 
 def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
                     chunk: int) -> np.ndarray:
-    table_init, table_out, table_next, table_final = _tables()
+    tables = _tables()
     n = cfg.n_photons
     rng = np.random.default_rng(cfg.seed)
     events = np.empty(n, dtype=np.uint8)
-    state = table_init
-    carry_sp = carry_fin = carry_coin = 0
+    width = min(chunk, n)
+    uniforms = np.empty((width, 4))
+    # codes[t] encodes photon start + t - 1; codes[0] carries the previous
+    # chunk's last photon.  The step that emits photon start + t finalizes
+    # that one, so it also takes that step's pair-error bit (8 * zz).
+    codes = np.empty(width + 1, dtype=np.uint8)
+    scratch = np.empty(width, dtype=np.uint8)
+    ratio = np.empty(width)
+    tree = np.empty(2 << (width - 1).bit_length(), dtype=np.uint8)
+    state = tables.init
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        uniforms = rng.random((m, 4))
-        fslice = forced[start:start + m] if forced is not None else None
-        sp, zz, fin, coin = _draw_chunk(cfg, uniforms, fslice)
-        if start == 0:
-            codes = (((sp[:-1] * 2 + zz[1:]) * 4 + fin[:-1]) * 2 + coin[:-1])
-            out_slice = events[0:m - 1]
-        else:
-            sp_prev = np.concatenate(([carry_sp], sp[:-1])).astype(np.uint8)
-            fin_prev = np.concatenate(([carry_fin], fin[:-1])).astype(np.uint8)
-            coin_prev = np.concatenate(([carry_coin], coin[:-1])).astype(np.uint8)
-            codes = (((sp_prev * 2 + zz) * 4 + fin_prev) * 2 + coin_prev)
-            out_slice = events[start - 1:start + m - 1]
-        if codes.shape[0]:
-            state = _run_chain(np.ascontiguousarray(codes, dtype=np.uint8),
-                               out_slice, state, table_out, table_next)
-        carry_sp, carry_fin, carry_coin = int(sp[-1]), int(fin[-1]), int(coin[-1])
-    events[n - 1] = table_final[state, (carry_sp * 4 + carry_fin) * 2 + carry_coin]
+        u = rng.random(out=uniforms[:m])
+        _encode_chunk(cfg, u, None if forced is None else forced[start:start + m],
+                      codes[1:m + 1], scratch[:m], ratio[:m])
+        first = 1 if start == 0 else 0  # photon 0 finalizes no predecessor
+        if cfg.p_zz > 0.0:
+            zz = scratch[first:m]
+            np.less(u[first:, 1], cfg.p_zz, out=zz)
+            zz <<= 3
+            codes[first:m] += zz
+        if m > first:
+            state = _run_chain(codes[first:m], events[start + first - 1:start + m - 1],
+                               state, tables, tree)
+        codes[0] = codes[m]
+    events[n - 1] = tables.final[state, codes[0]]
     return events
 
 

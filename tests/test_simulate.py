@@ -43,6 +43,16 @@ def test_config_validation():
         _cfg(tau_em=0.0)
 
 
+@pytest.mark.parametrize("field", ["q_x", "tau_em", "p_d", "p_sigma",
+                                   "p_zz", "n_photons"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(field, value):
+    # NaN slips through plain range checks (every comparison is False):
+    # q_x=nan used to validate and yield an all-X record
+    with pytest.raises(ValueError, match="finite"):
+        _cfg(**{field: value})
+
+
 def test_photon_budget_per_second():
     cfg = _cfg(tau_em=1e-9)
     assert cfg.photon_budget_per_second == pytest.approx(10 ** 9)
