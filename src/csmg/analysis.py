@@ -54,7 +54,10 @@ class TwoQubitMoments:
 
     def __post_init__(self) -> None:
         for name in ("mu_yz", "mu_zy", "mu_xx"):
-            if abs(getattr(self, name)) > 1.0 + 1e-9:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if abs(value) > 1.0 + 1e-9:
                 raise ValueError(f"{name} must lie in [-1, 1]")
 
 

@@ -17,7 +17,7 @@ from .analysis import (DetectorLayout, TemplateFamily, direct_bounds,
                        naive_tomography_K, optimal_instance_probability,
                        optimal_pp, splitter_settings, xi_e)
 from .config import ConfigError, RunConfig, override, read_config
-from .recordio import RecordFormatError, read_record, write_record
+from .recordio import RecordFormatError, open_record, write_record
 from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
                       read_estimates_csv, tomography_rows, write_bounds_csv,
                       write_estimates_csv, write_reach_csv,
@@ -117,7 +117,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     out = args.out or cfg.estimates_path
     if not out:
         raise ConfigError("no output path: pass --out or set estimates_path")
-    record = read_record(record_path)
+    record = open_record(record_path)
     templates = list(cfg.templates())
     estimates = scan(record, templates, mode=cfg.mode, stride=cfg.stride,
                      threads=_effective_threads(cfg.threads))

@@ -155,7 +155,7 @@ def open_record(path: Union[str, os.PathLike], validate: bool = True) -> ClickRe
             HEADER_SIZE + min(size - HEADER_SIZE, count))
     events = np.memmap(path, dtype=np.uint8, mode="r", offset=HEADER_SIZE, shape=(count,))
     if validate:
-        chunk = 1 << 24
+        chunk = 1 << 20
         for start in range(0, count, chunk):
             validate_events(events[start:start + chunk], HEADER_SIZE + start)
     return ClickRecord(events=events, burn_in=burn_in)

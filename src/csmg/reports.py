@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,15 +57,33 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
             template_id = row[0]
             family = template_id.split("(", 1)[0]
             TemplateFamily(family)
-            estimates.append(CorrelatorEstimate(
+            est = CorrelatorEstimate(
                 template_id=template_id,
                 family=family,
                 l=int(row[1]),
                 match_count=int(row[2]),
                 signed_sum=int(row[3]),
                 overlap_fraction=float(row[6]),
-            ))
+            )
+            problem = _estimate_problem(est)
+            if problem:
+                raise ValueError(f"{path}: {problem} in estimates row {row}")
+            estimates.append(est)
     return estimates
+
+
+def _estimate_problem(est: CorrelatorEstimate) -> str:
+    """Why no scan could have produced est, or "" if one could."""
+    if est.match_count < 0:
+        return "negative match count"
+    if abs(est.signed_sum) > est.match_count:
+        return "signed sum larger than the match count"
+    # signed_sum = match_count - 2 * (number of -1 windows)
+    if (est.match_count - est.signed_sum) % 2:
+        return "signed sum and match count of different parity"
+    if not math.isfinite(est.overlap_fraction):
+        return "non-finite overlap fraction"
+    return ""
 
 
 def write_bounds_csv(path: str, table: LEBoundTable) -> None:

@@ -68,6 +68,13 @@ def test_eigenvalues_match_dense_diagonalization():
                            dense, atol=1e-12)
 
 
+def test_moments_reject_non_finite():
+    # NaN passes the range check abs(mu) > 1, so it needs its own test
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 0.5, 0.5), (0.5, bad, 0.5), (0.5, 0.5, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                TwoQubitMoments(*args)
+
 def test_concurrence_examples():
     assert concurrence(TwoQubitMoments(1, 1, 1)) == pytest.approx(1.0)
     third = 1 / 3

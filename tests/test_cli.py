@@ -116,6 +116,30 @@ def test_estimates_csv_roundtrip(tmp_path):
                        "stderr", "overlap_fraction"]
 
 
+@pytest.mark.parametrize("count, signed, overlap, problem", [
+    ("-2", "0", "0.0", "negative match count"),
+    ("3", "5", "0.0", "signed sum larger"),
+    ("3", "-5", "0.0", "signed sum larger"),
+    ("4", "1", "0.0", "different parity"),
+    ("4", "2", "nan", "non-finite overlap"),
+    ("4", "2", "inf", "non-finite overlap"),
+])
+def test_estimates_csv_rejects_impossible_rows(tmp_path, count, signed,
+                                               overlap, problem):
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, [CorrelatorEstimate(
+        template_id="Gamma1(l=2)", family="Gamma1", l=2, match_count=4,
+        signed_sum=2, overlap_fraction=0.25)])
+    rows = _read_csv(path)
+    rows[1][2], rows[1][3], rows[1][6] = count, signed, overlap
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with pytest.raises(ValueError, match=problem) as err:
+        read_estimates_csv(path)
+    assert str(path) in str(err.value)
+    assert "Gamma1(l=2)" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # simulate / scan / analyze pipeline.
 
@@ -279,6 +303,17 @@ def test_corrupt_record_exit_code_2(tmp_path):
     path.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
     assert run(["scan", str(path), "--l-values", "2"]) == 2
 
+
+def test_corrupt_payload_byte_exit_code_2_with_offset(tmp_path, capsys):
+    path = tmp_path / "bad.csmg"
+    write_record(path, ClickRecord(events=np.full(5000, 0x06, np.uint8),
+                                   burn_in=0))
+    blob = bytearray(path.read_bytes())
+    blob[-9] = 0x01
+    path.write_bytes(bytes(blob))
+    assert run(["scan", str(path), "--l-values", "2",
+                "--out", str(tmp_path / "e.csv")]) == 2
+    assert f"byte offset {len(blob) - 9}" in capsys.readouterr().err
 
 def test_bad_config_exit_code_2(tmp_path):
     cfg = tmp_path / "run.cfg"

@@ -108,6 +108,23 @@ def test_corrupt_payload_byte_reported_with_offset(tmp_path):
     assert "2" in str(err.value)
 
 
+def _record_with_bad_byte(path, n, where):
+    write_record(path, ClickRecord(events=np.full(n, 0x06, dtype=np.uint8),
+                                   burn_in=0))
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE + where] = 0x09
+    path.write_bytes(bytes(blob))
+
+
+def test_open_record_reports_offset_past_first_chunk(tmp_path):
+    # open_record validates the mapped payload piece by piece
+    path = tmp_path / "stream.csmg"
+    where = (1 << 20) + 7
+    _record_with_bad_byte(path, (1 << 20) + 100, where)
+    with pytest.raises(RecordFormatError) as err:
+        open_record(path)
+    assert err.value.offset == HEADER_SIZE + where
+
 def test_iter_event_chunks_reassembles(tmp_path):
     rng = np.random.default_rng(12)
     events = rng.choice(np.array(VALID_BYTES, dtype=np.uint8), size=1000)

@@ -1,6 +1,7 @@
 """Template construction, verification, and the window scanner."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csmg.pauli import PauliString
 from csmg.recordio import ClickRecord
@@ -24,6 +25,7 @@ from csmg.templates import (
     verify_template_algebra,
     verify_template_stream,
     zz_flip_pair_count,
+    _compile,
 )
 from csmg.analysis import instance_probability
 
@@ -354,3 +356,125 @@ def test_estimate_mean_and_stderr():
                              overlap_fraction=0.0)
     assert est.mean == 0.5
     assert est.stderr == pytest.approx(((1 - 0.25) / 400) ** 0.5)
+
+
+def test_scan_rejects_negative_burn_in():
+    # with any thread count, a negative start would index from the end
+    rec = _record(events_from_text("Z+ Y+ Y+ Z+ " * 50))
+    assert scan(rec, [make_gamma1(2)], burn_in=0)[0].match_count == 50
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="burn_in"):
+            scan(rec, [make_gamma1(2)], burn_in=-1, threads=threads)
+
+
+def test_scan_shares_template_prefixes():
+    # the l <= 50 grid needs 680 required slots one template at a time;
+    # its trie has 119 edges and runs in 3 registers
+    templates = [make_template(f, l) for f in ("Gamma1", "Gamma2")
+                 for l in certifiable_lengths(50)]
+    assert sum(t.n_measured for t in templates) == 680
+    program, n_regs = _compile(templates)
+    assert sum(op[0] == "edge" for op in program) == 119
+    assert n_regs == 3
+    assert sorted(op[2] for op in program if op[0] == "end") == \
+        list(range(len(templates)))
+
+
+def test_scan_window_must_fit_in_record():
+    # trailing free slots may not reach past the record's last photon,
+    # even while a shorter template keeps the scan going; the long lost
+    # prefix makes the scan hold its matches as indices
+    t = Template(TemplateFamily.GAMMA1, 2,
+                 (SLOT_Z, SLOT_Y, SLOT_X, SLOT_FREE, SLOT_FREE), (0, 0))
+    short = Template(TemplateFamily.GAMMA1, 2, (SLOT_Z,), (0, 0))
+    for lost in (0, 200):
+        events = events_from_text("L " * lost + "Z+ Y+ X- L L Z+ Y+ X+ L")
+        est, z = scan(_record(events), [t, short])
+        assert (est.match_count, est.signed_sum) == (1, -1)
+        assert z.match_count == 2
+
+# ---------------------------------------------------------------------------
+# One scan call with many templates against the per-template reference.
+
+_VALID_BYTES = np.array([0x00, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07],
+                        dtype=np.uint8)
+
+
+def _reference_estimate(events, template, mode, stride, burn_in):
+    count, signed, offsets = reference_scan(events, template, mode=mode,
+                                            stride=stride, burn_in=burn_in)
+    overlaps = sum(1 for a, b in zip(offsets, offsets[1:])
+                   if b - a < template.span)
+    return count, signed, overlaps / count if count else 0.0
+
+
+def _events_near(rng, slots, n, noise):
+    """n photons tiling ``slots`` (free slots random), then ``noise`` of
+    them replaced by random bytes, so that windows match often."""
+    bases = np.tile(np.array(slots, dtype=np.uint8), n // len(slots) + 1)[:n]
+    free = bases == SLOT_FREE
+    bases[free] = rng.integers(1, 4, size=int(free.sum()))
+    events = (bases << 1) | rng.integers(0, 2, size=n).astype(np.uint8)
+    hit = rng.random(n) < noise
+    events[hit] = rng.choice(_VALID_BYTES, size=int(hit.sum()))
+    return events
+
+
+@st.composite
+def _scan_calls(draw, templates):
+    templates = draw(templates)
+    span_max = max(t.span for t in templates)
+    n = draw(st.integers(0, 4 * span_max + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    pattern = draw(st.sampled_from(templates)).slots
+    events = _events_near(rng, pattern, n,
+                          draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+    kwargs = dict(
+        mode=draw(st.sampled_from(["all", "greedy"])),
+        stride=draw(st.integers(1, 4)),
+        burn_in=draw(st.integers(0, 12)),
+        chunk_size=draw(st.one_of(
+            st.just(1), st.integers(1, 20).map(lambda k: 2 * k + 1),
+            st.integers(n + 1, n + 64))),
+        threads=draw(st.sampled_from([1, 2, 3])))
+    return events, templates, kwargs
+
+
+def _grid_templates():
+    pick = st.tuples(st.sampled_from(["Gamma1", "Gamma2"]),
+                     st.sampled_from([2, 5, 8, 11, 14, 20]))
+    return (st.lists(pick, min_size=1, max_size=6)
+            .flatmap(lambda ps: st.permutations(ps + [ps[0]]))
+            .map(lambda ps: [make_template(f, l) for f, l in ps]))
+
+
+def _patterned_templates():
+    # arbitrary slot patterns, all-free ones included: the scan's slot
+    # trie must not depend on the Gamma layouts
+    slots = st.lists(st.integers(SLOT_FREE, SLOT_Z), min_size=1, max_size=7)
+    return st.lists(slots, min_size=1, max_size=6).map(
+        lambda ss: [Template(TemplateFamily.GAMMA1, 2, tuple(s), (0, 0))
+                    for s in ss])
+
+
+def _check_against_reference(case):
+    events, templates, kwargs = case
+    got = scan(events, templates, **kwargs)
+    assert len(got) == len(templates)
+    for est, t in zip(got, templates):
+        want = _reference_estimate(events, t, kwargs["mode"],
+                                   kwargs["stride"], kwargs["burn_in"])
+        assert (est.match_count, est.signed_sum,
+                est.overlap_fraction) == want, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scan_calls(_grid_templates()))
+def test_scan_matches_reference_per_template(case):
+    _check_against_reference(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scan_calls(_patterned_templates()))
+def test_scan_matches_reference_on_arbitrary_patterns(case):
+    _check_against_reference(case)
