@@ -19,9 +19,8 @@ from .analysis import (DetectorLayout, ErrorModelFit, LEBoundRow,
 from .config import ConfigError, RunConfig, parse_config, read_config
 from .pauli import FrameError, PauliLetter, PauliString, StabilizerFrame
 from .recordio import (ClickRecord, RecordFormatError, encode_event,
-                       event_basis, event_outcome, open_record, read_record,
-                       write_record)
-from .stream import ExperimentConfig, apply_noise_step, simulate
+                       event_basis, event_outcome, open_record, write_record)
+from .stream import ExperimentConfig, simulate
 from .templates import (CorrelatorEstimate, Template, TemplateFamily,
                         TemplateVerificationError, certifiable_lengths,
                         make_gamma1, make_gamma2, make_template, scan,
@@ -37,14 +36,14 @@ __all__ = [
     "LEBoundTable", "PauliLetter", "PauliString", "RecordFormatError",
     "RunConfig", "StabilizerFrame", "Template", "TemplateFamily",
     "TemplateVerificationError", "TwoQubitMoments", "XiEstimate",
-    "apply_noise_step", "certifiable_lengths", "concurrence",
+    "certifiable_lengths", "concurrence",
     "direct_bounds", "encode_event", "eof", "eof_from_concurrence",
     "event_basis", "event_outcome", "fit_error_model",
     "instance_probability", "make_gamma1", "make_gamma2", "make_template",
     "max_direct_length", "naive_tomography_K", "open_record",
     "optimal_instance_probability", "optimal_pp", "parse_config",
     "predict_gamma", "predicted_template_mean", "read_config",
-    "read_record", "rho_tilde_eigenvalues", "scan", "simulate",
+    "rho_tilde_eigenvalues", "scan", "simulate",
     "splitter_settings", "template_k_product", "verify_template",
     "verify_template_algebra", "verify_template_stream",
     "write_record", "xi_e", "xi_from_rates", "zz_flip_pair_count",

@@ -140,8 +140,11 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
     errors (clamped to [-1, 1]).  Requires both families at every
     requested l; when ``ls`` is omitted, uses every l where both are
     present with at least one match.  The table's xi_e is the largest l
-    whose conservative bound is still positive (0 if none).
+    whose conservative bound is still positive (0 if none).  A negative
+    or non-finite z would raise the bound instead, so it is rejected.
     """
+    if not (math.isfinite(z) and z >= 0.0):
+        raise ValueError(f"z must be finite and >= 0, got {z}")
     by_l: Dict[int, Dict[str, CorrelatorEstimate]] = {}
     for est in estimates:
         by_l.setdefault(est.l, {})[est.family] = est
@@ -181,11 +184,6 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
 
 # ---------------------------------------------------------------------------
 # Decay-law predictors.
-
-def _n_measured(l: int) -> int:
-    # same for both families: (2l + 8) / 3 on the l = 2 (mod 3) grid
-    return (2 * l + 8) // 3
-
 
 def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
                   p_zz: float) -> float:
@@ -413,8 +411,8 @@ def naive_tomography_K(p_d: float, n_budget: float) -> int:
     """Largest window size K with full-tomography cost 2^(2K)/p_d^K <= budget."""
     if not 0.0 < p_d <= 1.0:
         raise ValueError("p_d must lie in (0, 1]")
-    if n_budget < 1.0:
-        raise ValueError("n_budget must be >= 1")
+    if not (math.isfinite(n_budget) and n_budget >= 1.0):
+        raise ValueError(f"n_budget must be finite and >= 1, got {n_budget}")
     ratio = 4.0 / p_d
     k = max(0, int(math.floor(math.log(n_budget) / math.log(ratio))))
     while ratio ** (k + 1) <= n_budget:
@@ -514,8 +512,8 @@ def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
     expected match count at separation l is n_budget times the optimal
     per-offset probability.  Returns 0 when even l = 2 is out of reach.
     """
-    if n_budget < 1.0:
-        raise ValueError("n_budget must be >= 1")
+    if not (math.isfinite(n_budget) and n_budget >= 1.0):
+        raise ValueError(f"n_budget must be finite and >= 1, got {n_budget}")
     if min_expected <= 0.0:
         raise ValueError("min_expected must be > 0")
     best = 0

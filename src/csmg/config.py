@@ -72,7 +72,6 @@ _PARSERS: Dict[str, Callable[[str], object]] = {
     "threads": _parse_int,
     "record_path": _parse_str,
     "estimates_path": _parse_str,
-    "report_dir": _parse_str,
 }
 
 
@@ -96,7 +95,6 @@ class RunConfig:
     threads: int = 1
     record_path: Optional[str] = None
     estimates_path: Optional[str] = None
-    report_dir: Optional[str] = None
 
     def validate(self) -> "RunConfig":
         try:
@@ -163,6 +161,7 @@ def read_config(path: str) -> RunConfig:
 
 
 def format_config(cfg: RunConfig) -> str:
+    """Render cfg as a config file; rejects text that would not read back."""
     lines = []
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
@@ -172,7 +171,10 @@ def format_config(cfg: RunConfig) -> str:
             value = ",".join(value)
         elif f.name == "l_values":
             value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
+        text = str(value)
+        if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+            raise ConfigError(f"{f.name} = {text!r} cannot be written to a config file")
+        lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
 
 

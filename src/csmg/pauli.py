@@ -172,11 +172,6 @@ class PauliString:
         return f"<PauliString {self}>"
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact group product a*b (alias for the ``*`` operator)."""
-    return a * b
-
-
 class FrameError(Exception):
     """Raised on misuse of a StabilizerFrame (bad site, entangled delete, ...)."""
 

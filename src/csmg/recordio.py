@@ -11,15 +11,15 @@ Layout (little endian):
 Event bytes: 0x00 = photon lost.  Otherwise bits 2..1 hold the detection
 basis (01 = X, 10 = Y, 11 = Z) and bit 0 holds the outcome (0 -> +1,
 1 -> -1), i.e. X+ = 0x02, X- = 0x03, Y+ = 0x04, Y- = 0x05, Z+ = 0x06,
-Z- = 0x07.  Every other byte value is invalid and readers reject it with
-the absolute file offset of the first offender.
+Z- = 0x07.  Every other byte value is invalid and is rejected with the
+absolute file offset of the first offender.
 """
 from __future__ import annotations
 
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ MAGIC = b"CSMG"
 VERSION = 1
 _HEADER = struct.Struct("<4sBQQ")
 HEADER_SIZE = _HEADER.size  # 21
+_VALIDATE_CHUNK = 1 << 20  # validation temporaries stay this small on any record
 
 EVENT_LOST = 0x00
 BASIS_NONE = 0  # byte >> 1 for a lost photon
@@ -102,11 +103,14 @@ class ClickRecord:
 
 def validate_events(events: np.ndarray, base_offset: int = HEADER_SIZE) -> None:
     """Reject any byte outside {0x00, 0x02..0x07}; reports the file offset."""
-    bad = (events == 0x01) | (events > 0x07)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise RecordFormatError(
-            f"invalid event byte 0x{int(events[idx]):02X}", base_offset + idx)
+    for start in range(0, events.shape[0], _VALIDATE_CHUNK):
+        piece = events[start:start + _VALIDATE_CHUNK]
+        bad = (piece == 0x01) | (piece > 0x07)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise RecordFormatError(
+                f"invalid event byte 0x{int(piece[idx]):02X}",
+                base_offset + start + idx)
 
 
 def write_record(path: Union[str, os.PathLike], record: ClickRecord) -> None:
@@ -114,7 +118,7 @@ def write_record(path: Union[str, os.PathLike], record: ClickRecord) -> None:
     validate_events(events)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, events.shape[0], record.burn_in))
-        fh.write(events.tobytes())
+        fh.write(events)
 
 
 def _read_header(fh) -> Tuple[int, int]:
@@ -129,23 +133,8 @@ def _read_header(fh) -> Tuple[int, int]:
     return count, burn_in
 
 
-def read_record(path: Union[str, os.PathLike], validate: bool = True) -> ClickRecord:
-    """Load a record fully into memory, validating payload bytes."""
-    with open(path, "rb") as fh:
-        count, burn_in = _read_header(fh)
-        payload = fh.read()
-    if len(payload) != count:
-        raise RecordFormatError(
-            f"payload holds {len(payload)} photons, header promised {count}",
-            HEADER_SIZE + min(len(payload), count))
-    events = np.frombuffer(payload, dtype=np.uint8)
-    if validate:
-        validate_events(events)
-    return ClickRecord(events=events.copy(), burn_in=burn_in)
-
-
-def open_record(path: Union[str, os.PathLike], validate: bool = True) -> ClickRecord:
-    """Memory-map a record read-only; payload pages load on demand."""
+def open_record(path: Union[str, os.PathLike]) -> ClickRecord:
+    """Memory-map a record read-only; every payload byte is validated."""
     size = os.path.getsize(path)
     with open(path, "rb") as fh:
         count, burn_in = _read_header(fh)
@@ -154,27 +143,8 @@ def open_record(path: Union[str, os.PathLike], validate: bool = True) -> ClickRe
             f"file holds {size - HEADER_SIZE} photons, header promised {count}",
             HEADER_SIZE + min(size - HEADER_SIZE, count))
     events = np.memmap(path, dtype=np.uint8, mode="r", offset=HEADER_SIZE, shape=(count,))
-    if validate:
-        chunk = 1 << 20
-        for start in range(0, count, chunk):
-            validate_events(events[start:start + chunk], HEADER_SIZE + start)
+    validate_events(events)
     return ClickRecord(events=events, burn_in=burn_in)
-
-
-def iter_event_chunks(path: Union[str, os.PathLike],
-                      chunk_size: int = 1 << 22) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (photon_index, events) pieces of a record without loading it all."""
-    with open(path, "rb") as fh:
-        count, _ = _read_header(fh)
-        done = 0
-        while done < count:
-            raw = fh.read(min(chunk_size, count - done))
-            if not raw:
-                raise RecordFormatError("truncated payload", HEADER_SIZE + done)
-            events = np.frombuffer(raw, dtype=np.uint8)
-            validate_events(events, HEADER_SIZE + done)
-            yield done, events
-            done += len(events)
 
 
 def format_events(events: np.ndarray, limit: int = 32) -> str:

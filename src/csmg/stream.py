@@ -41,11 +41,6 @@ import numpy as np
 from .pauli import PauliString, StabilizerFrame
 from .recordio import EVENT_LOST, ClickRecord, encode_event
 
-try:  # pragma: no cover - exercised implicitly by the fast path
-    import numba as _numba
-except ImportError:  # pragma: no cover
-    _numba = None
-
 _CHUNK = 1 << 16  # keeps a chunk's scan working set in cache
 _AXES = "XYZ"
 # fin codes: 0 = detect X, 1 = detect Y, 2 = detect Z, 3 = lost
@@ -155,7 +150,7 @@ def _encode_chunk(cfg: ExperimentConfig, uniforms: np.ndarray,
 # the state captures the newest photon before its own deferred Pauli and
 # finalization.  A step is selected by a 6-bit code
 # ``sp*16 + zz*8 + fin*2 + coin``.  Every entry is produced by driving the
-# exact StabilizerFrame through one pipeline step, so the fast path is a
+# exact StabilizerFrame through one pipeline step, so the table path is a
 # memoization of the engine, not a reimplementation.
 #
 # Each code's next-state column is a map on the 6 states.  Closing the 64
@@ -284,12 +279,11 @@ def _tables() -> _ChainTables:
 
 
 # ---------------------------------------------------------------------------
-# Chain execution kernels.  Without numba the walk over a chunk is a
-# work-efficient prefix scan (Blelloch 1990) over the map ids: an up-sweep
-# composes adjacent maps pairwise, a down-sweep hands each photon its entry
-# state, and one gather through the output table writes the event bytes.
-# Each level is a few numpy calls, so there is no per-photon Python.  The
-# optional numba kernel walks the same codes one by one.
+# The chain walk over a chunk is a work-efficient prefix scan (Blelloch
+# 1990) over the map ids: an up-sweep composes adjacent maps pairwise, a
+# down-sweep hands each photon its entry state, and one gather through the
+# output table writes the event bytes.  Each level is a few numpy calls,
+# so there is no per-photon Python.
 
 def _scan_chain(codes: np.ndarray, out: np.ndarray, state: int,
                 tables: _ChainTables, tree: np.ndarray) -> int:
@@ -329,26 +323,6 @@ def _scan_chain(codes: np.ndarray, out: np.ndarray, state: int,
     index |= codes
     tables.out.take(index, out=out, mode="clip")
     return end
-
-
-if _numba is not None:
-    @_numba.njit(cache=True, nogil=True)
-    def _run_chain_numba(codes, out, state, table_out, table_next):  # pragma: no cover
-        for t in range(codes.shape[0]):
-            c = codes[t]
-            out[t] = table_out[state, c]
-            state = table_next[state, c]
-        return state
-else:  # pragma: no cover
-    _run_chain_numba = None
-
-
-def _run_chain(codes: np.ndarray, out: np.ndarray, state: int,
-               tables: _ChainTables, tree: np.ndarray) -> int:
-    if _run_chain_numba is not None:
-        return int(_run_chain_numba(codes, out, np.int64(state),
-                                    tables.out.reshape(6, 64), tables.next_state))
-    return _scan_chain(codes, out, state, tables, tree)
 
 
 def _normalize_forced(forced_bases, n: int) -> Optional[np.ndarray]:
@@ -393,8 +367,8 @@ def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
             zz <<= 3
             codes[first:m] += zz
         if m > first:
-            state = _run_chain(codes[first:m], events[start + first - 1:start + m - 1],
-                               state, tables, tree)
+            state = _scan_chain(codes[first:m], events[start + first - 1:start + m - 1],
+                                state, tables, tree)
         codes[0] = codes[m]
     events[n - 1] = tables.final[state, codes[0]]
     return events
@@ -455,23 +429,3 @@ def simulate(cfg: ExperimentConfig, method: str = "auto",
     else:
         raise ValueError(f"unknown method {method!r}")
     return ClickRecord(events=events, burn_in=cfg.burn_in)
-
-
-def apply_noise_step(frame: StabilizerFrame, index: int, p_sigma: float,
-                     p_zz: float, rng) -> Tuple[Optional[str], bool]:
-    """Apply one pipeline step's emission noise to a live frame.
-
-    Draws the same two uniforms the stream consumes per step: one decides
-    (and picks) the single-qubit Pauli, one decides the pair error on
-    (index-1, index).  Both target the outgoing side of the step - the
-    Pauli lands on ``index-1``, whose entangling operations are complete -
-    and both are skipped when the predecessor is not in the frame.
-    Returns (pauli letter or None, pair error fired).
-    """
-    sp = _sigma_choice(rng.random(), p_sigma)
-    u_zz = rng.random()
-    if (index - 1) not in frame.active:
-        return None, False
-    fired_zz = u_zz < p_zz
-    _apply_step_noise(frame, index, sp, 1 if fired_zz else 0)
-    return (None if sp == 0 else _AXES[sp - 1]), bool(fired_zz)

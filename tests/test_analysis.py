@@ -169,6 +169,17 @@ def test_direct_bounds_conservative_below_central():
     assert wider.eof_conservative < row.eof_conservative
 
 
+def test_direct_bounds_rejects_negative_or_non_finite_z():
+    ests = [_estimate("Gamma1", 8, 100, 60),
+            _estimate("Gamma2", 8, 100, 40)]
+    # a negative haircut would lift the conservative bound above the central one
+    for z in (-3.0, -1e-12, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="z must be finite and >= 0"):
+            direct_bounds(ests, z=z)
+    row = direct_bounds(ests, z=0.0).rows[0]
+    assert row.eof_conservative == row.eof_central
+
+
 def test_direct_bounds_requires_both_families():
     with pytest.raises(ValueError):
         direct_bounds([_estimate("Gamma1", 2, 10, 10)], ls=[2])
@@ -417,6 +428,15 @@ def test_naive_tomography_cost_brackets_budget():
         if k >= 1:
             assert 4.0 ** k / p_d ** k <= budget
         assert 4.0 ** (k + 1) / p_d ** (k + 1) > budget
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])
+def test_planners_reject_non_finite_budgets(budget):
+    with pytest.raises(ValueError, match="n_budget must be finite"):
+        naive_tomography_K(0.5, budget)
+    for family in ("Gamma1", "Gamma2"):
+        with pytest.raises(ValueError, match="n_budget must be finite"):
+            max_direct_length(family, 0.5, budget, l_cap=2000)
 
 
 def test_optimal_pp_and_splitter_settings():

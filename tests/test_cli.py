@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csmg.cli import run
 from csmg.config import (
@@ -15,7 +16,7 @@ from csmg.config import (
     read_config,
     write_config,
 )
-from csmg.recordio import ClickRecord, read_record, write_record
+from csmg.recordio import ClickRecord, open_record, write_record
 from csmg.reports import read_estimates_csv, write_estimates_csv
 from csmg.templates import CorrelatorEstimate, make_gamma1, scan
 
@@ -39,6 +40,57 @@ def test_parse_config_roundtrip():
     text = format_config(cfg)
     back = parse_config(text)
     assert back == cfg
+
+
+_unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_l_grid = st.integers(0, 60).map(lambda k: 3 * k + 2)
+_text = st.one_of(st.none(), st.text(max_size=12),
+                  st.sampled_from(["runs/a b.csmg", "C:/x=y.csv", "a#b",
+                                   " lead", "trail ", "two\nlines", ""]))
+
+
+@st.composite
+def _run_configs(draw):
+    q = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+             .filter(lambda w: sum(w) > 0.0))
+    total = sum(q)
+    return RunConfig(
+        n_photons=draw(st.integers(1, 10 ** 12)),
+        seed=draw(st.integers(0, 2 ** 64)),
+        p_d=draw(_unit), q_x=q[0] / total, q_y=q[1] / total,
+        q_z=q[2] / total, p_sigma=draw(_unit), p_zz=draw(_unit),
+        burn_in=draw(st.integers(0, 10 ** 6)),
+        tau_em=draw(st.floats(1e-300, 1e300)),
+        families=tuple(draw(st.lists(st.sampled_from(["Gamma1", "Gamma2"]),
+                                     min_size=1, max_size=3))),
+        l_max=draw(st.integers(2, 200)),
+        l_values=draw(st.one_of(st.none(), st.lists(_l_grid, min_size=1,
+                                                    max_size=5).map(tuple))),
+        mode=draw(st.sampled_from(["all", "greedy"])),
+        stride=draw(st.integers(1, 64)), threads=draw(st.integers(1, 64)),
+        record_path=draw(_text), estimates_path=draw(_text)).validate()
+
+
+def _writable(text):
+    # what one "key = value" line can carry: no comment mark, no line
+    # break, no surrounding whitespace
+    return (text is None or ("#" not in text and text == text.strip()
+                             and len(text.splitlines()) <= 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_configs())
+def test_format_config_round_trips_generated_configs(cfg):
+    if _writable(cfg.record_path) and _writable(cfg.estimates_path):
+        assert parse_config(format_config(cfg)) == cfg
+    else:
+        with pytest.raises(ConfigError, match="cannot be written"):
+            format_config(cfg)
+
+
+def test_report_dir_is_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown key 'report_dir'"):
+        parse_config("report_dir = reports\n")
 
 
 def test_config_file_io(tmp_path):
@@ -152,7 +204,7 @@ def test_simulate_writes_deterministic_records(tmp_path):
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    rec = read_record(out1)
+    rec = open_record(out1)
     assert rec.n_photons == 20000
     assert rec.burn_in == 100
 
@@ -161,7 +213,7 @@ def test_simulate_dark_detector(tmp_path):
     out = tmp_path / "dark.csmg"
     assert run(["simulate", "--photons", "512", "--pd", "0", "--out",
                 str(out)]) == 0
-    rec = read_record(out)
+    rec = open_record(out)
     assert np.all(rec.events == 0)
 
 
@@ -193,7 +245,7 @@ def test_scan_respects_config_file_with_flag_override(tmp_path):
     rows = _read_csv(out)
     assert [r[0] for r in rows[1:]] == ["Gamma1(l=2)"]
     # greedy from the flag must beat the config file's "all"
-    rec = read_record(rec_path)
+    rec = open_record(rec_path)
     greedy = scan(rec, [make_gamma1(2)], mode="greedy")[0]
     assert int(rows[1][2]) == greedy.match_count
 
@@ -222,6 +274,19 @@ def test_analyze_full_pipeline(tmp_path):
     assert summary["direct"]["xi_e"] >= 2
 
 
+@pytest.mark.parametrize("z", ["-3", "nan", "inf"])
+def test_analyze_bad_z_exit_code_2(tmp_path, z, capsys):
+    est_path = tmp_path / "est.csv"
+    write_estimates_csv(est_path, [
+        CorrelatorEstimate("Gamma1(l=8)", "Gamma1", 8, 100, 60, 0.0),
+        CorrelatorEstimate("Gamma2(l=8)", "Gamma2", 8, 100, 40, 0.0)])
+    assert run(["analyze", str(est_path), f"--z={z}", "--out-bounds",
+                str(tmp_path / "b.csv"), "--out-summary",
+                str(tmp_path / "s.json")]) == 2
+    assert "z must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_analyze_no_fit_skips_rates(tmp_path):
     est_path = tmp_path / "est.csv"
     write_estimates_csv(est_path, [
@@ -247,6 +312,12 @@ def test_plan_prints_reach(capsys):
     assert "11" in out      # naive tomography K
     assert "20" in out      # Gamma2 reach
     assert "29" in out      # Gamma1 reach
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_plan_non_finite_budget_exit_code_2(budget, capsys):
+    assert run(["plan", "--pd", "0.5", f"--budget={budget}"]) == 2
+    assert "n_budget must be finite" in capsys.readouterr().err
 
 
 def test_verify_ok(capsys):

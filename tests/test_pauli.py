@@ -4,7 +4,7 @@ import copy
 import numpy as np
 import pytest
 
-from csmg.pauli import FrameError, PauliLetter, PauliString, StabilizerFrame, multiply
+from csmg.pauli import FrameError, PauliLetter, PauliString, StabilizerFrame
 
 from helpers import (
     cluster_state,
@@ -35,12 +35,6 @@ def test_generator_product_example():
     prod = k1 * k2
     assert prod == PauliString({0: "Z", 1: "Y", 2: "Y", 3: "Z"})
     assert prod.phase == 1
-
-
-def test_multiply_helper_matches_operator():
-    a = PauliString({0: "X", 2: "Y"}, phase=1j)
-    b = PauliString({0: "Z", 1: "Z"}, phase=-1)
-    assert multiply(a, b) == a * b
 
 
 def test_phase_validation():

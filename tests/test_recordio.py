@@ -1,19 +1,24 @@
 """Binary click-record format: round trips and corruption handling."""
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from csmg.recordio import (
     EVENT_LOST,
     HEADER_SIZE,
+    MAGIC,
+    VERSION,
     ClickRecord,
     RecordFormatError,
     encode_event,
     event_basis,
     event_outcome,
     format_events,
-    iter_event_chunks,
     open_record,
-    read_record,
     validate_events,
     write_record,
 )
@@ -55,7 +60,7 @@ def test_record_roundtrip_through_buffer(tmp_path):
     rec = ClickRecord(events=events, burn_in=17)
     path = tmp_path / "stream.csmg"
     write_record(path, rec)
-    back = read_record(path)
+    back = open_record(path)
     assert back.burn_in == 17
     assert np.array_equal(back.events, events)
 
@@ -77,13 +82,13 @@ def test_header_magic_and_version_enforced(tmp_path):
     raw[:4] = b"JUNK"
     path.write_bytes(bytes(raw))
     with pytest.raises(RecordFormatError):
-        read_record(path)
+        open_record(path)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"CSMG"
     raw[4] = 99
     path.write_bytes(bytes(raw))
     with pytest.raises(RecordFormatError):
-        read_record(path)
+        open_record(path)
 
 
 def test_truncated_payload_detected(tmp_path):
@@ -93,7 +98,7 @@ def test_truncated_payload_detected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-2])
     with pytest.raises(RecordFormatError):
-        read_record(path)
+        open_record(path)
 
 
 def test_corrupt_payload_byte_reported_with_offset(tmp_path):
@@ -104,7 +109,7 @@ def test_corrupt_payload_byte_reported_with_offset(tmp_path):
     blob[-2] = 0x01
     path.write_bytes(bytes(blob))
     with pytest.raises(RecordFormatError) as err:
-        read_record(path)
+        open_record(path)
     assert "2" in str(err.value)
 
 
@@ -125,19 +130,81 @@ def test_open_record_reports_offset_past_first_chunk(tmp_path):
         open_record(path)
     assert err.value.offset == HEADER_SIZE + where
 
-def test_iter_event_chunks_reassembles(tmp_path):
-    rng = np.random.default_rng(12)
-    events = rng.choice(np.array(VALID_BYTES, dtype=np.uint8), size=1000)
-    path = tmp_path / "stream.csmg"
-    write_record(path, ClickRecord(events=events, burn_in=0))
-    starts = []
-    pieces = []
-    for start, chunk in iter_event_chunks(path, chunk_size=64):
-        starts.append(start)
-        pieces.append(np.asarray(chunk).copy())
-    assert all(len(p) <= 64 for p in pieces)
-    assert starts == list(np.cumsum([0] + [len(p) for p in pieces[:-1]]))
-    assert np.array_equal(np.concatenate(pieces), events)
+def test_write_record_makes_no_record_sized_temporaries(tmp_path):
+    n = 1 << 24  # 16 MiB
+    events = np.full(n, 0x06, dtype=np.uint8)
+    events[::3] = 0x03
+    record = ClickRecord(events=events, burn_in=5)
+    path = tmp_path / "big.csmg"
+    tracemalloc.start()
+    try:
+        write_record(path, record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 2
+    blob = path.read_bytes()
+    assert len(blob) == HEADER_SIZE + n
+    assert hashlib.sha256(blob[HEADER_SIZE:]).digest() == hashlib.sha256(events).digest()
+
+
+_PIECE = 1 << 20  # validation works through the payload 1 MiB at a time
+_LENGTHS = st.one_of(st.integers(0, 300),
+                     st.integers(_PIECE - 4, _PIECE + 300),
+                     st.integers(2 * _PIECE - 4, 2 * _PIECE + 4))
+_PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _record_bytes(n):
+    events = np.full(n, 0x06, dtype=np.uint8)
+    events[:min(n, 7)] = VALID_BYTES[:min(n, 7)]
+    return bytearray(MAGIC + bytes([VERSION]) + struct.pack("<QQ", n, 0)
+                     + events.tobytes())
+
+
+def _expect_offset(path, blob, offset, message):
+    path.write_bytes(bytes(blob))
+    with pytest.raises(RecordFormatError) as err:
+        open_record(path)
+    assert err.value.offset == offset
+    assert message in str(err.value)
+    assert f"(byte offset {offset})" in str(err.value)
+
+
+@_PROPERTY_SETTINGS
+@given(n=_LENGTHS, data=st.data())
+def test_open_record_reports_offset_of_truncation(tmp_path, n, data):
+    blob = _record_bytes(n)
+    cut = data.draw(st.one_of(st.integers(0, len(blob) - 1),
+                              st.integers(max(0, len(blob) - 300), len(blob) - 1)))
+    message = "truncated header" if cut < HEADER_SIZE else "header promised"
+    _expect_offset(tmp_path / "cut.csmg", blob[:cut], cut, message)
+
+
+@_PROPERTY_SETTINGS
+@given(n=_LENGTHS, data=st.data())
+def test_open_record_reports_offset_of_corrupt_byte(tmp_path, n, data):
+    blob = _record_bytes(n)
+    # the magic, the version, anywhere in the payload, or next to a seam
+    # between validation pieces or the end of the record
+    near = [HEADER_SIZE + s + d for s in (_PIECE, 2 * _PIECE, n)
+            for d in range(-2, 3) if 0 <= s + d < n]
+    where = data.draw(st.one_of(
+        st.integers(0, 4),
+        *([st.integers(HEADER_SIZE, len(blob) - 1), st.sampled_from(near)]
+          if n else [])))
+    if where < 4:
+        blob[where] ^= data.draw(st.integers(1, 255))
+        _expect_offset(tmp_path / "bad.csmg", blob, 0, "bad magic")
+    elif where == 4:
+        blob[4] = data.draw(st.integers(0, 255).filter(lambda v: v != VERSION))
+        _expect_offset(tmp_path / "bad.csmg", blob, 4, "unsupported version")
+    else:
+        blob[where] = data.draw(st.sampled_from([0x01] + list(range(0x08, 0x100))))
+        _expect_offset(tmp_path / "bad.csmg", blob, where,
+                       f"invalid event byte 0x{blob[where]:02X}")
 
 
 def test_lost_fraction_and_basis_counts():

@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from csmg.pauli import PauliString, StabilizerFrame
 from csmg.recordio import EVENT_LOST, event_basis, event_outcome
-from csmg.stream import ExperimentConfig, apply_noise_step, simulate
+from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import make_template, scan
 from csmg.analysis import predicted_template_mean
 
@@ -184,53 +183,6 @@ def test_burn_in_is_recorded_not_trimmed():
     rec = simulate(cfg)
     assert rec.burn_in == 100
     assert rec.n_photons == 500
-
-
-# ---------------------------------------------------------------------------
-# Single-step noise helper.
-
-
-def test_apply_noise_step_rates():
-    rng = np.random.default_rng(21)
-    n = 20000
-    sigma_hits = 0
-    zz_hits = 0
-    for _ in range(n):
-        frame = StabilizerFrame()
-        frame.emit_qubit(0)
-        frame.emit_qubit(1)
-        sigma, zz = apply_noise_step(frame, 1, 0.3, 0.2, rng)
-        sigma_hits += sigma is not None
-        zz_hits += zz
-    lo, hi = _binomial_bounds(n, 0.3)
-    assert lo < sigma_hits < hi
-    lo, hi = _binomial_bounds(n, 0.2)
-    assert lo < zz_hits < hi
-
-
-def test_apply_noise_step_uniform_letter():
-    rng = np.random.default_rng(22)
-    counts = {"X": 0, "Y": 0, "Z": 0}
-    n = 30000
-    for _ in range(n):
-        frame = StabilizerFrame()
-        frame.emit_qubit(0)
-        frame.emit_qubit(1)
-        sigma, _ = apply_noise_step(frame, 1, 1.0, 0.0, rng)
-        counts[sigma] += 1
-    for letter in counts:
-        lo, hi = _binomial_bounds(n, 1 / 3)
-        assert lo < counts[letter] < hi, letter
-
-
-def test_apply_noise_step_zz_flips_boundary_stabilizer():
-    frame = StabilizerFrame()
-    frame.emit_qubit(0)
-    frame.emit_qubit(1)
-    apply_noise_step(frame, 1, 0.0, 1.0, np.random.default_rng(0))
-    # Z0 Z1 anticommutes with both X0 Z1 and Z0 X1
-    assert frame.expectation(PauliString({0: "X", 1: "Z"})) == -1
-    assert frame.expectation(PauliString({0: "Z", 1: "X"})) == -1
 
 
 def test_frame_engine_frontier_stays_small():
