@@ -117,8 +117,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
     out = args.out or cfg.estimates_path
     if not out:
         raise ConfigError("no output path: pass --out or set estimates_path")
-    record = open_record(record_path)
     templates = list(cfg.templates())
+    ids = [t.id for t in templates]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        # a repeated template would be fitted as an independent point
+        raise ConfigError(f"template selected more than once: "
+                          f"{', '.join(repeated)}")
+    record = open_record(record_path)
     estimates = scan(record, templates, mode=cfg.mode, stride=cfg.stride,
                      threads=_effective_threads(cfg.threads))
     write_estimates_csv(out, estimates)

@@ -44,6 +44,7 @@ def write_estimates_csv(path: str,
 
 def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
     estimates: List[CorrelatorEstimate] = []
+    seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -55,6 +56,10 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
             if len(row) != len(ESTIMATE_COLUMNS):
                 raise ValueError(f"{path}: bad estimates row {row}")
             template_id = row[0]
+            if template_id in seen:
+                raise ValueError(f"{path}: repeated template in estimates "
+                                 f"row {row}")
+            seen.add(template_id)
             family = template_id.split("(", 1)[0]
             TemplateFamily(family)
             est = CorrelatorEstimate(
@@ -74,6 +79,9 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
 
 def _estimate_problem(est: CorrelatorEstimate) -> str:
     """Why no scan could have produced est, or "" if one could."""
+    # the id names (family, l), so a repeated (family, l) repeats the id
+    if est.template_id != f"{est.family}(l={est.l})":
+        return f"template id that does not name l = {est.l}"
     if est.match_count < 0:
         return "negative match count"
     if abs(est.signed_sum) > est.match_count:

@@ -288,20 +288,41 @@ class _Accumulator:
 
 def _consume_block(acc: _Accumulator, span: int, offsets: np.ndarray,
                    parities: np.ndarray, mode: str) -> None:
-    """Tally one block's matched window starts, given in increasing order."""
+    """Tally one block's matched window starts, given in increasing order.
+
+    Greedy mode keeps the first start at or past ``acc.greedy_next``, then
+    repeatedly the first start at or past the last kept one plus ``span``.
+    That is the orbit of one index under the successor map
+    ``jump[i] = first j with offsets[j] >= offsets[i] + span``, which
+    pointer doubling (Wyllie 1979) collects in O(log k) vector rounds:
+    while the kept set holds the first 2**r orbit steps and ``jump`` is
+    the map applied 2**r times, one round adds ``jump`` of the kept set
+    and squares ``jump``.  Index k is a sentinel that maps to itself.
+    ``acc.greedy_next`` carries the block's last kept start plus ``span``
+    into the next block.
+    """
     if offsets.shape[0] == 0:
         return
     if mode == "greedy":
-        i = int(np.searchsorted(offsets, acc.greedy_next, side="left"))
-        while i < offsets.shape[0]:
-            o = int(offsets[i])
-            acc.count += 1
-            acc.parity += int(parities[i])
-            acc.greedy_next = o + span
-            if acc.first_o is None:
-                acc.first_o = o
-            acc.last_o = o
-            i = int(np.searchsorted(offsets, acc.greedy_next, side="left"))
+        i0 = int(np.searchsorted(offsets, acc.greedy_next, side="left"))
+        k = offsets.shape[0]
+        if i0 == k:
+            return
+        jump = np.empty(k + 1, dtype=np.intp)
+        jump[:k] = np.searchsorted(offsets, offsets + span, side="left")
+        jump[k] = k
+        keep = np.zeros(k + 1, dtype=bool)
+        keep[i0] = True
+        while jump[i0] != k:
+            keep[jump[keep]] = True
+            jump = jump[jump]
+        kept = np.flatnonzero(keep[:k])
+        acc.count += int(kept.shape[0])
+        acc.parity += int(parities[kept].sum(dtype=np.int64))
+        if acc.first_o is None:
+            acc.first_o = int(offsets[kept[0]])
+        acc.last_o = int(offsets[kept[-1]])
+        acc.greedy_next = acc.last_o + span
         return
     acc.count += int(offsets.shape[0])
     acc.parity += int(parities.sum(dtype=np.int64))
@@ -473,9 +494,10 @@ def scan(record, templates: Sequence[Template], *, mode: str = "all",
     takes 119 trie edges per block where one template at a time would
     take 680 slot tests.
     ``threads > 1`` splits the window starts into that many contiguous
-    ranges, scanned concurrently and joined in order; greedy mode is
-    inherently sequential and always runs as one range.  Counts, signed
-    sums and overlap fractions are bit-identical for any ``chunk_size``
+    ranges, scanned concurrently and joined in order.  Greedy mode runs
+    as one range, its kept matches computed per block by pointer doubling
+    (see ``_consume_block``), so ``threads`` is ignored there.  Counts,
+    signed sums and overlap fractions are bit-identical for any ``chunk_size``
     and ``threads``.
     """
     if mode not in ("all", "greedy"):

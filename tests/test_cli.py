@@ -192,6 +192,30 @@ def test_estimates_csv_rejects_impossible_rows(tmp_path, count, signed,
     assert "Gamma1(l=2)" in str(err.value)
 
 
+def test_estimates_csv_rejects_repeated_template(tmp_path, capsys):
+    # a repeated row would enter the fit as an independent point
+    path = tmp_path / "estimates.csv"
+    est = CorrelatorEstimate("Gamma1(l=2)", "Gamma1", 2, 100, 60, 0.0)
+    other = CorrelatorEstimate("Gamma2(l=2)", "Gamma2", 2, 100, 40, 0.0)
+    write_estimates_csv(path, [est, other, est])
+    with pytest.raises(ValueError, match="repeated template") as err:
+        read_estimates_csv(path)
+    assert str(path) in str(err.value)
+    assert "Gamma1(l=2)" in str(err.value)
+    assert run(["analyze", str(path), "--out-bounds",
+                str(tmp_path / "b.csv"), "--out-summary",
+                str(tmp_path / "s.json")]) == 2
+    assert "repeated template" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+    # nor may a row hide a repeated (family, l) under another id
+    rows = _read_csv(path)[:3]
+    rows[2][0] = "Gamma1(l=02)"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with pytest.raises(ValueError, match="does not name l = 2"):
+        read_estimates_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # simulate / scan / analyze pipeline.
 
@@ -230,6 +254,22 @@ def test_scan_hand_record_to_csv(tmp_path, capsys):
     assert rows[1][2] == "1"
     assert rows[1][3] == "1"
     assert "Gamma1(l=2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--l-values", "2,2,5,5,8,8"],
+    ["--l-values", "5,2,5"],
+    ["--families", "Gamma1,Gamma2,Gamma1", "--l-values", "2"],
+])
+def test_scan_rejects_repeated_templates_exit_code_2(tmp_path, flags,
+                                                     capsys):
+    rec_path = tmp_path / "stream.csmg"
+    write_record(rec_path, ClickRecord(
+        events=np.full(64, 0x06, np.uint8), burn_in=0))
+    out = tmp_path / "est.csv"
+    assert run(["scan", str(rec_path), *flags, "--out", str(out)]) == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_respects_config_file_with_flag_override(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csmg.pauli import PauliString
-from csmg.recordio import ClickRecord
+from csmg.recordio import EVENT_LOST, ClickRecord
 from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import (
     SLOT_FREE,
@@ -478,3 +478,68 @@ def test_scan_matches_reference_per_template(case):
 @given(_scan_calls(_patterned_templates()))
 def test_scan_matches_reference_on_arbitrary_patterns(case):
     _check_against_reference(case)
+
+
+# ---------------------------------------------------------------------------
+# Greedy selection against a per-match loop.
+
+
+def _greedy_by_loop(events, template, stride, burn_in):
+    """Greedy (count, signed sum), one kept match at a time: walk the
+    all-mode matches and keep each that starts at or past the end of the
+    last kept window."""
+    offsets = reference_scan(events, template, stride=stride,
+                             burn_in=burn_in)[2]
+    positions = [p for p, _ in template.required]
+    count = signed = 0
+    free_from = burn_in
+    for o in offsets:
+        if o < free_from:
+            continue
+        count += 1
+        signed += (-1) ** sum(int(events[o + p]) & 1 for p in positions)
+        free_from = o + template.span
+    return count, signed
+
+
+@st.composite
+def _greedy_calls(draw):
+    template = make_template(draw(st.sampled_from(["Gamma1", "Gamma2"])),
+                             draw(st.sampled_from([2, 5, 8, 11])))
+    span = template.span
+    # windows tiled back to back, a few photons apart, or sharing their
+    # closing Z with the next window's opening Z match nearly everywhere,
+    # so the kept set is a long orbit of the successor map and takes many
+    # doubling rounds; shared Zs make every other window overlap
+    gap = draw(st.integers(-1, 3))
+    tile = np.array((template.slots + (SLOT_FREE,) * 3)[:span + gap],
+                    dtype=np.uint8)
+    n = draw(st.one_of(st.integers(0, 60), st.integers(1000, 3000)))
+    phase = draw(st.integers(0, tile.shape[0] - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    bases = np.tile(tile, n // tile.shape[0] + 2)[phase:phase + n]
+    free = bases == SLOT_FREE
+    bases[free] = rng.integers(1, 4, size=int(free.sum()))
+    flip = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    events = (bases << 1) | (rng.random(n) < flip).astype(np.uint8)
+    lost = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.1]))
+    events[lost] = EVENT_LOST
+    # a chunk below the span makes greedy_next skip whole blocks
+    chunk_size = draw(st.one_of(
+        st.just(1), st.integers(2, span - 1),
+        st.integers(1, 1000).map(lambda k: 2 * k + 1)))
+    return (events, template, draw(st.integers(1, 4)),
+            draw(st.integers(0, 2 * span)), chunk_size)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_greedy_calls())
+def test_greedy_matches_per_match_loop(case):
+    events, template, stride, burn_in, chunk_size = case
+    want = _greedy_by_loop(events, template, stride, burn_in)
+    # one block larger than the record holds the whole orbit
+    for chunk in (chunk_size, events.shape[0] + 1):
+        est = scan(events, [template], mode="greedy", stride=stride,
+                   burn_in=burn_in, chunk_size=chunk)[0]
+        assert (est.match_count, est.signed_sum) == want, chunk
+        assert est.overlap_fraction == 0.0
