@@ -163,20 +163,17 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
         e1 = d[TemplateFamily.GAMMA1.value]
         e2 = d[TemplateFamily.GAMMA2.value]
         central = TwoQubitMoments(e1.mean, e1.mean, e2.mean)
-        spec_c, clamped_c = _clamped_spectrum(central)
         m1 = _clip_unit(e1.mean - z * e1.stderr)
         m2 = _clip_unit(e2.mean - z * e2.stderr)
         conservative = TwoQubitMoments(m1, m1, m2)
-        spec_k, clamped_k = _clamped_spectrum(conservative)
         rows.append(LEBoundRow(
             l=l,
             mu_gamma1=e1.mean,
             mu_gamma2=e2.mean,
-            eof_central=eof_from_concurrence(
-                max(0.0, 2.0 * float(spec_c[0]) - 1.0)),
-            eof_conservative=eof_from_concurrence(
-                max(0.0, 2.0 * float(spec_k[0]) - 1.0)),
-            clamped=clamped_c or clamped_k,
+            eof_central=eof(central),
+            eof_conservative=eof(conservative),
+            clamped=(_clamped_spectrum(central)[1]
+                     or _clamped_spectrum(conservative)[1]),
         ))
     xi = max((r.l for r in rows if r.eof_conservative > 0.0), default=0)
     return LEBoundTable(rows=tuple(rows), xi_e=xi, z=z)
@@ -184,6 +181,13 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
 
 # ---------------------------------------------------------------------------
 # Decay-law predictors.
+
+def _check_rates(p_sigma: float, p_zz: float) -> None:
+    if not 0.0 <= p_sigma <= 0.75:
+        raise ValueError("p_sigma must lie in [0, 3/4]")
+    if not 0.0 <= p_zz <= 0.5:
+        raise ValueError("p_zz must lie in [0, 1/2]")
+
 
 def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
                   p_zz: float) -> float:
@@ -198,10 +202,7 @@ def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
     families, which share n_measured.
     """
     template = make_template(family, l)
-    if not 0.0 <= p_sigma <= 0.75:
-        raise ValueError("p_sigma must lie in [0, 3/4]")
-    if not 0.0 <= p_zz <= 0.5:
-        raise ValueError("p_zz must lie in [0, 1/2]")
+    _check_rates(p_sigma, p_zz)
     return ((1.0 - 4.0 * p_sigma / 3.0) ** template.n_measured
             * (1.0 - 2.0 * p_zz) ** (2.0 * l / 3.0))
 
@@ -348,10 +349,7 @@ def xi_from_rates(p_sigma: float, p_zz: float) -> XiEstimate:
     Solves (2l+8)/3 * alpha + 2l/3 * beta = ln(1/3).  The continuous
     root is clamped at 0 when even l = 0 is below threshold.
     """
-    if not 0.0 <= p_sigma <= 0.75:
-        raise ValueError("p_sigma must lie in [0, 3/4]")
-    if not 0.0 <= p_zz <= 0.5:
-        raise ValueError("p_zz must lie in [0, 1/2]")
+    _check_rates(p_sigma, p_zz)
     if p_sigma == 0.0 and p_zz == 0.0:
         return XiEstimate(continuous=math.inf, grid=math.inf)
     alpha = math.log1p(-4.0 * p_sigma / 3.0) if p_sigma < 0.75 else -math.inf
@@ -360,11 +358,16 @@ def xi_from_rates(p_sigma: float, p_zz: float) -> XiEstimate:
     return XiEstimate(continuous=l_star, grid=_grid_crossing(alpha, beta))
 
 
+def _crossing_terms(alpha: float, beta: float) -> Tuple[float, float]:
+    """Numerator and denominator of the continuous crossing l*."""
+    return (math.log(_THIRD) - (8.0 / 3.0) * alpha,
+            (2.0 / 3.0) * (alpha + beta))
+
+
 def _continuous_crossing(alpha: float, beta: float) -> float:
     if math.isinf(alpha) or math.isinf(beta):
         return 0.0
-    numer = math.log(_THIRD) - (8.0 / 3.0) * alpha
-    denom = (2.0 / 3.0) * (alpha + beta)
+    numer, denom = _crossing_terms(alpha, beta)
     return max(0.0, numer / denom)
 
 
@@ -394,8 +397,7 @@ def xi_e(fit: ErrorModelFit) -> XiEstimate:
         return base
     alpha = math.log1p(-4.0 * fit.p_sigma / 3.0)
     beta = math.log1p(-2.0 * fit.p_zz)
-    numer = math.log(_THIRD) - (8.0 / 3.0) * alpha
-    denom = (2.0 / 3.0) * (alpha + beta)
+    numer, denom = _crossing_terms(alpha, beta)
     d_alpha = (-8.0 / 3.0) / denom - numer * (2.0 / 3.0) / denom ** 2
     d_beta = -numer * (2.0 / 3.0) / denom ** 2
     grad = np.array([d_alpha, d_beta])

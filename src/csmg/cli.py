@@ -1,5 +1,10 @@
 """Command-line surface: simulate, scan, analyze, plan, verify, report.
 
+The source flags of ``simulate`` and the template flags of ``scan`` each
+set the RunConfig field named by their dest, over ``--config FILE`` or
+the defaults; a comma list given as a flag is read by the same parser as
+the config key, and every value is checked by ``RunConfig.validate``.
+
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 template verification failure.  The CSMG_THREADS environment variable
 caps scan parallelism.
@@ -10,13 +15,15 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from typing import List, Optional
 
 from .analysis import (DetectorLayout, TemplateFamily, direct_bounds,
                        fit_error_model, max_direct_length,
                        naive_tomography_K, optimal_instance_probability,
                        optimal_pp, splitter_settings, xi_e)
-from .config import ConfigError, RunConfig, override, read_config
+from .config import (ConfigError, RunConfig, override, parse_value,
+                     read_config)
 from .recordio import RecordFormatError, open_record, write_record
 from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
                       read_estimates_csv, tomography_rows, write_bounds_csv,
@@ -24,8 +31,8 @@ from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
                       write_summary_json, write_tomography_csv,
                       write_xi_curve_csv, xi_curve_rows)
 from .stream import simulate
-from .templates import (TemplateVerificationError, make_template,
-                        scan, verify_template)
+from .templates import (TemplateVerificationError, certifiable_lengths,
+                        make_template, scan, verify_template)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,33 +57,32 @@ def _effective_threads(requested: int) -> int:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = read_config(args.config) if args.config else RunConfig()
     updates = {}
-    for flag, field in (("photons", "n_photons"), ("seed", "seed"),
-                        ("pd", "p_d"), ("qx", "q_x"), ("qy", "q_y"),
-                        ("qz", "q_z"), ("psigma", "p_sigma"),
-                        ("pzz", "p_zz"), ("burn_in", "burn_in"),
-                        ("tau_em", "tau_em"), ("lmax", "l_max"),
-                        ("mode", "mode"), ("stride", "stride"),
-                        ("threads", "threads")):
-        if hasattr(args, flag):
-            updates[field] = getattr(args, flag)
-    if getattr(args, "families", None) is not None:
-        updates["families"] = tuple(args.families.split(","))
-    if getattr(args, "l_values", None) is not None:
-        updates["l_values"] = tuple(int(v) for v in args.l_values.split(","))
+    for f in fields(RunConfig):
+        # a flag's dest is the field it sets; text flags (the comma lists,
+        # mode) go through the config-file parser
+        value = getattr(args, f.name, None)
+        if isinstance(value, str):
+            value = parse_value(f.name, value)
+        updates[f.name] = value
     return override(cfg, **updates)
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="run configuration file (key = value)")
-    p.add_argument("--photons", type=int, help="number of photons to emit")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--pd", type=float, help="detection probability")
-    p.add_argument("--qx", type=float, help="X-basis splitter probability")
-    p.add_argument("--qy", type=float, help="Y-basis splitter probability")
-    p.add_argument("--qz", type=float, help="Z-basis splitter probability")
-    p.add_argument("--psigma", type=float,
+    p.add_argument("--photons", dest="n_photons", type=int,
+                   help="number of photons to emit")
+    p.add_argument("--seed", dest="seed", type=int, help="random seed")
+    p.add_argument("--pd", dest="p_d", type=float,
+                   help="detection probability")
+    p.add_argument("--qx", dest="q_x", type=float,
+                   help="X-basis splitter probability")
+    p.add_argument("--qy", dest="q_y", type=float,
+                   help="Y-basis splitter probability")
+    p.add_argument("--qz", dest="q_z", type=float,
+                   help="Z-basis splitter probability")
+    p.add_argument("--psigma", dest="p_sigma", type=float,
                    help="per-photon single-Pauli error probability")
-    p.add_argument("--pzz", type=float,
+    p.add_argument("--pzz", dest="p_zz", type=float,
                    help="per-pair Z*Z error probability")
     p.add_argument("--burn-in", dest="burn_in", type=int,
                    help="photons flagged as burn-in in the record header")
@@ -85,12 +91,19 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_template_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lmax", type=int, help="largest separation on the grid")
+    p.add_argument("--lmax", dest="l_max", type=int,
+                   help="largest separation on the grid")
     p.add_argument("--l-values", dest="l_values",
                    help="explicit comma-separated separations")
-    p.add_argument("--families",
+    p.add_argument("--families", dest="families",
                    help="comma-separated template families "
                         "(Gamma1, Gamma2)")
+    p.add_argument("--mode", dest="mode", choices=("all", "greedy"),
+                   help="count every match or non-overlapping only")
+    p.add_argument("--stride", dest="stride", type=int,
+                   help="window start spacing")
+    p.add_argument("--threads", dest="threads", type=int,
+                   help="scan worker threads")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -182,7 +195,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     families = [TemplateFamily(name) for name in args.families.split(",")]
-    ls = [l for l in range(2, args.lmax + 1) if l % 3 == 2]
+    ls = certifiable_lengths(args.lmax)
     if not ls:
         raise ConfigError(f"no valid separations up to {args.lmax}")
     for family in families:
@@ -228,10 +241,6 @@ def build_parser() -> _Parser:
     p.add_argument("record", nargs="?", help="input record path")
     p.add_argument("--config", help="run configuration file")
     _add_template_flags(p)
-    p.add_argument("--mode", choices=("all", "greedy"),
-                   help="count every match or non-overlapping only")
-    p.add_argument("--stride", type=int, help="window start spacing")
-    p.add_argument("--threads", type=int, help="scan worker threads")
     p.add_argument("--out", help="output estimates CSV")
     p.set_defaults(func=cmd_scan)
 

@@ -4,75 +4,38 @@ One key per line, ``#`` starts a comment, unknown or duplicate keys are
 rejected with the offending line number.  A RunConfig bundles the source
 parameters with the scan selection (families, separations, mode) and
 optional output paths, and converts to the simulator's ExperimentConfig.
+Its fields are the keys: a value is read by its field's type, families
+and l_values as comma lists, and every value rule lives in validate().
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, get_type_hints
 
 from .stream import ExperimentConfig
-from .templates import Template, TemplateFamily, certifiable_lengths, make_template
+from .templates import (Template, TemplateFamily, _check_length,
+                        certifiable_lengths, make_template)
 
 
 class ConfigError(Exception):
     """Malformed or invalid run configuration."""
 
 
-def _parse_int(text: str) -> int:
+_SCALARS: Dict[type, str] = {int: "an integer", float: "a number"}
+
+
+def _parse_scalar(kind: type, text: str) -> object:
+    if kind not in _SCALARS:
+        return text
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
+        raise ConfigError(f"expected {_SCALARS[kind]}, got {text!r}") from None
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
-
-
-def _parse_families(text: str) -> Tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not names:
-        raise ConfigError("families must name at least one template family")
-    for name in names:
-        try:
-            TemplateFamily(name)
-        except ValueError:
-            raise ConfigError(f"unknown template family {name!r}") from None
-    return names
-
-
-def _parse_l_values(text: str) -> Tuple[int, ...]:
-    return tuple(_parse_int(part.strip())
-                 for part in text.split(",") if part.strip())
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-_PARSERS: Dict[str, Callable[[str], object]] = {
-    "n_photons": _parse_int,
-    "seed": _parse_int,
-    "p_d": _parse_float,
-    "q_x": _parse_float,
-    "q_y": _parse_float,
-    "q_z": _parse_float,
-    "p_sigma": _parse_float,
-    "p_zz": _parse_float,
-    "burn_in": _parse_int,
-    "tau_em": _parse_float,
-    "families": _parse_families,
-    "l_max": _parse_int,
-    "l_values": _parse_l_values,
-    "mode": _parse_str,
-    "stride": _parse_int,
-    "threads": _parse_int,
-    "record_path": _parse_str,
-    "estimates_path": _parse_str,
-}
+# the comma-list keys and the type of one item; every other key is one
+# value of its field's type
+_LIST_ITEMS: Dict[str, type] = {"families": str, "l_values": int}
 
 
 @dataclass(frozen=True)
@@ -97,30 +60,30 @@ class RunConfig:
     estimates_path: Optional[str] = None
 
     def validate(self) -> "RunConfig":
+        """Check every value rule; raises ConfigError on the first broken one."""
         try:
             self.experiment()
+            for name in self.families:
+                TemplateFamily(name)
+            for l in self.separations():
+                _check_length(l)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not self.families:
+            raise ConfigError("families must name at least one template family")
+        if not self.separations():
+            raise ConfigError("no valid separations selected")
         if self.mode not in ("all", "greedy"):
             raise ConfigError(f"mode must be 'all' or 'greedy', got {self.mode!r}")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        for l in self.separations():
-            if l < 2 or l % 3 != 2:
-                raise ConfigError(
-                    f"separation {l} is not supported (need l >= 2, l = 2 mod 3)")
-        if not self.separations():
-            raise ConfigError("no valid separations selected")
         return self
 
     def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            n_photons=self.n_photons, seed=self.seed, p_d=self.p_d,
-            q_x=self.q_x, q_y=self.q_y, q_z=self.q_z,
-            p_sigma=self.p_sigma, p_zz=self.p_zz,
-            burn_in=self.burn_in, tau_em=self.tau_em)
+        return ExperimentConfig(**{f.name: getattr(self, f.name)
+                                   for f in fields(ExperimentConfig)})
 
     def separations(self) -> Tuple[int, ...]:
         if self.l_values is not None:
@@ -131,6 +94,20 @@ class RunConfig:
         return tuple(make_template(family, l)
                      for family in self.families
                      for l in self.separations())
+
+
+_FIELD_TYPES = get_type_hints(RunConfig)
+
+
+def parse_value(key: str, text: str) -> object:
+    """Read the value of field ``key`` from its config-file text."""
+    try:
+        if key in _LIST_ITEMS:
+            return tuple(_parse_scalar(_LIST_ITEMS[key], part.strip())
+                         for part in text.split(",") if part.strip())
+        return _parse_scalar(_FIELD_TYPES[key], text)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -144,14 +121,14 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PARSERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSERS[key](value)
+            values[key] = parse_value(key, value)
         except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return RunConfig(**values).validate()
 
 
@@ -167,9 +144,7 @@ def format_config(cfg: RunConfig) -> str:
         value = getattr(cfg, f.name)
         if value is None:
             continue
-        if f.name == "families":
-            value = ",".join(value)
-        elif f.name == "l_values":
+        if f.name in _LIST_ITEMS:
             value = ",".join(str(v) for v in value)
         text = str(value)
         if "#" in text or text != text.strip() or len(text.splitlines()) > 1:

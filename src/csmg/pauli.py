@@ -176,13 +176,11 @@ class FrameError(Exception):
     """Raised on misuse of a StabilizerFrame (bad site, entangled delete, ...)."""
 
 
-def _coin_outcome(rng, coin: Optional[float]) -> int:
-    # coin, when given, is a pre-drawn uniform in [0, 1); it makes outcomes
-    # reproducible across the reference and table-driven simulation paths.
+def _coin_outcome(coin: Optional[float]) -> int:
+    # coin is a pre-drawn uniform in [0, 1); it makes outcomes reproducible
+    # across the reference and table-driven simulation paths.
     if coin is None:
-        if rng is None:
-            raise FrameError("random measurement outcome requires rng or coin")
-        coin = rng.random()
+        raise FrameError("random measurement outcome requires a coin")
     return 1 if coin < 0.5 else -1
 
 
@@ -272,7 +270,7 @@ class StabilizerFrame:
             if not g.commutes_with(p):
                 self._gens[i] = g.negated()
 
-    def measure(self, qubit: int, basis: LetterLike, rng=None,
+    def measure(self, qubit: int, basis: LetterLike,
                 coin: Optional[float] = None) -> int:
         """Projective measurement of one qubit; returns +1 or -1.
 
@@ -290,7 +288,7 @@ class StabilizerFrame:
         m = PauliString.single(lb, qubit)
         anti = [i for i, g in enumerate(self._gens) if not g.commutes_with(m)]
         if anti:
-            outcome = _coin_outcome(rng, coin)
+            outcome = _coin_outcome(coin)
             pivot = self._gens[anti[0]]
             for i in anti[1:]:
                 self._gens[i] = self._gens[i] * pivot
@@ -299,7 +297,7 @@ class StabilizerFrame:
         expressed = self._express(m)
         if expressed is None:
             # The basis direction is unconstrained (mixed): project onto it.
-            outcome = _coin_outcome(rng, coin)
+            outcome = _coin_outcome(coin)
             self._gens.append(m.with_phase(outcome))
             return outcome
         return expressed
@@ -346,21 +344,21 @@ class StabilizerFrame:
             self._gens = reduced
         self._active.remove(qubit)
 
-    def finalize(self, qubit: int, basis: LetterLike, rng=None,
+    def finalize(self, qubit: int, basis: LetterLike,
                  coin: Optional[float] = None) -> int:
         """Measure then delete: the destructive detection of one photon."""
-        outcome = self.measure(qubit, basis, rng, coin)
+        outcome = self.measure(qubit, basis, coin)
         self.delete(qubit)
         return outcome
 
-    def trace_out(self, qubit: int, rng=None, coin: Optional[float] = None) -> None:
+    def trace_out(self, qubit: int, coin: Optional[float] = None) -> None:
         """Loss of a photon: measure in Z, forget the outcome, drop the qubit.
 
         Sampling the forgotten outcome reproduces the traced-out reduced
         state exactly, trajectory by trajectory, while keeping the frame
         description pure and small.
         """
-        self.measure(qubit, _Z, rng, coin)
+        self.measure(qubit, _Z, coin)
         self.delete(qubit)
 
     def single_qubit_state(self, qubit: int) -> Optional[Tuple[PauliLetter, int]]:

@@ -31,15 +31,20 @@ REACH_COLUMNS = ("p_d", "l_max_gamma1", "l_max_gamma2")
 XI_CURVE_COLUMNS = ("p_sigma", "p_zz", "xi_continuous", "xi_grid")
 
 
-def write_estimates_csv(path: str,
-                        estimates: Sequence[CorrelatorEstimate]) -> None:
+def _write_csv(path: str, columns: Sequence[str],
+               rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ESTIMATE_COLUMNS)
-        for est in estimates:
-            writer.writerow([est.template_id, est.l, est.match_count,
-                             est.signed_sum, est.mean, est.stderr,
-                             est.overlap_fraction])
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_estimates_csv(path: str,
+                        estimates: Sequence[CorrelatorEstimate]) -> None:
+    _write_csv(path, ESTIMATE_COLUMNS,
+               ([est.template_id, est.l, est.match_count, est.signed_sum,
+                 est.mean, est.stderr, est.overlap_fraction]
+                for est in estimates))
 
 
 def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
@@ -95,13 +100,10 @@ def _estimate_problem(est: CorrelatorEstimate) -> str:
 
 
 def write_bounds_csv(path: str, table: LEBoundTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BOUND_COLUMNS)
-        for row in table.rows:
-            writer.writerow([row.l, row.mu_gamma1, row.mu_gamma2,
-                             row.eof_central, row.eof_conservative,
-                             int(row.clamped), row.method])
+    _write_csv(path, BOUND_COLUMNS,
+               ([row.l, row.mu_gamma1, row.mu_gamma2, row.eof_central,
+                 row.eof_conservative, int(row.clamped), row.method]
+                for row in table.rows))
 
 
 def fit_to_dict(fit: ErrorModelFit) -> dict:
@@ -164,10 +166,7 @@ def tomography_rows(p_ds: Iterable[float],
 
 
 def write_tomography_csv(path: str, rows: Sequence[Tuple[float, int]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TOMOGRAPHY_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(path, TOMOGRAPHY_COLUMNS, rows)
 
 
 def reach_rows(p_ds: Iterable[float], n_budget: float,
@@ -183,10 +182,7 @@ def reach_rows(p_ds: Iterable[float], n_budget: float,
 
 
 def write_reach_csv(path: str, rows: Sequence[Tuple[float, int, int]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REACH_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(path, REACH_COLUMNS, rows)
 
 
 def xi_curve_rows(p_zzs: Iterable[float], p_sigmas: Iterable[float]
@@ -202,7 +198,4 @@ def xi_curve_rows(p_zzs: Iterable[float], p_sigmas: Iterable[float]
 def write_xi_curve_csv(path: str,
                        rows: Sequence[Tuple[float, float, float, float]]
                        ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(XI_CURVE_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(path, XI_CURVE_COLUMNS, rows)

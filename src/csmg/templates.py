@@ -57,7 +57,8 @@ def certifiable_lengths(l_max: int) -> List[int]:
 
 def _check_length(l: int) -> None:
     if l < 2 or l % 3 != 2:
-        raise ValueError("template length must be >= 2 and = 2 (mod 3)")
+        raise ValueError(f"separation {l} is not supported "
+                         f"(need l >= 2, l = 2 mod 3)")
 
 
 @dataclass(frozen=True)

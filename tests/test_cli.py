@@ -1,12 +1,14 @@
 """Command-line interface, config files, and report round trips."""
+import argparse
 import csv
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csmg.cli import run
+from csmg.cli import _load_config, build_parser, run
 from csmg.config import (
     ConfigError,
     RunConfig,
@@ -18,6 +20,7 @@ from csmg.config import (
 )
 from csmg.recordio import ClickRecord, open_record, write_record
 from csmg.reports import read_estimates_csv, write_estimates_csv
+from csmg.stream import ExperimentConfig
 from csmg.templates import CorrelatorEstimate, make_gamma1, scan
 
 from helpers import events_from_text
@@ -86,6 +89,77 @@ def test_format_config_round_trips_generated_configs(cfg):
     else:
         with pytest.raises(ConfigError, match="cannot be written"):
             format_config(cfg)
+
+
+def _subcommand_parsers():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
+
+
+def _field_flags(subparser):
+    """(field name, flag spelling) for every flag that sets a RunConfig field."""
+    names = {f.name for f in fields(RunConfig)}
+    return [(a.dest, a.option_strings[0]) for a in subparser._actions
+            if a.dest in names]
+
+
+_SOURCE_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_SCAN_FIELDS = {"families", "l_max", "l_values", "mode", "stride", "threads"}
+
+
+def test_flag_dests_name_the_fields_each_subcommand_sets():
+    # a misspelled dest would drop its flag silently in _load_config
+    _, subs = _subcommand_parsers()
+    assert {name for name, _ in _field_flags(subs["simulate"])} \
+        == _SOURCE_FIELDS
+    assert {name for name, _ in _field_flags(subs["scan"])} == _SCAN_FIELDS
+
+
+@settings(max_examples=150, deadline=None)
+@given(_run_configs(), st.sampled_from([",", ", "]))
+def test_flags_and_config_file_read_alike(cfg, sep):
+    cfg = replace(cfg, record_path=None, estimates_path=None)
+    parser, subs = _subcommand_parsers()
+    loaded = {}
+    for command in ("simulate", "scan"):
+        argv = [command]
+        for name, flag in _field_flags(subs[command]):
+            value = getattr(cfg, name)
+            if value is None:
+                continue
+            if isinstance(value, tuple):
+                value = sep.join(str(v) for v in value)
+            argv += [flag, str(value)]
+        loaded[command] = _load_config(parser.parse_args(argv))
+    from_flags = replace(loaded["simulate"],
+                         **{name: getattr(loaded["scan"], name)
+                            for name in _SCAN_FIELDS})
+    assert from_flags == parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("families", [("Bogus",), (), ("Gamma1", "gamma2")])
+def test_validate_rejects_bad_family_lists(families):
+    with pytest.raises(ConfigError):
+        RunConfig(families=families).validate()
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--families", "Gamma1, Gamma2", "--l-values", "2, 5"], 0),
+    (["--l-values", "2,,5"], 0),
+    (["--families", "Gamma1, Bogus"], 2),
+    (["--families", " , "], 2),
+    (["--l-values", "2,x"], 2),
+    (["--l-values", "2,7"], 2),
+])
+def test_scan_comma_list_flags(tmp_path, flags, code, capsys):
+    rec_path = tmp_path / "s.csmg"
+    assert run(["simulate", "--photons", "2000", "--out", str(rec_path)]) == 0
+    assert run(["scan", str(rec_path), *flags,
+                "--out", str(tmp_path / "e.csv")]) == code
+    if code:
+        assert "error:" in capsys.readouterr().err
 
 
 def test_report_dir_is_an_unknown_key():

@@ -277,6 +277,23 @@ def test_measure_inactive_qubit_raises():
         frame.measure(7, "X")
 
 
+def test_random_outcome_without_coin_raises():
+    # anticommuting branch: Z on a cluster end is a fair coin
+    frame = _chain_frame(2)
+    gens = frame.generators
+    for call in (lambda: frame.measure(0, "Z"),
+                 lambda: frame.finalize(0, "Z"),
+                 lambda: frame.trace_out(0)):
+        with pytest.raises(FrameError, match="requires a coin"):
+            call()
+        assert frame.generators == gens and frame.active == (0, 1)
+    # unconstrained (mixed) branch: no generator touches the qubit
+    mixed = StabilizerFrame.from_generators((0,), ())
+    with pytest.raises(FrameError, match="requires a coin"):
+        mixed.measure(0, "X")
+    assert mixed.generators == ()
+
+
 def test_from_generators_roundtrip():
     frame = _chain_frame(3)
     clone = StabilizerFrame.from_generators(frame.active, frame.generators)
