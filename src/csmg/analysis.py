@@ -409,12 +409,16 @@ def xi_e(fit: ErrorModelFit) -> XiEstimate:
 # ---------------------------------------------------------------------------
 # Planning: tomography baseline and template reach.
 
+def _check_budget(n_budget: float) -> None:
+    if not (math.isfinite(n_budget) and n_budget >= 1.0):
+        raise ValueError(f"n_budget must be finite and >= 1, got {n_budget}")
+
+
 def naive_tomography_K(p_d: float, n_budget: float) -> int:
     """Largest window size K with full-tomography cost 2^(2K)/p_d^K <= budget."""
     if not 0.0 < p_d <= 1.0:
         raise ValueError("p_d must lie in (0, 1]")
-    if not (math.isfinite(n_budget) and n_budget >= 1.0):
-        raise ValueError(f"n_budget must be finite and >= 1, got {n_budget}")
+    _check_budget(n_budget)
     ratio = 4.0 / p_d
     k = max(0, int(math.floor(math.log(n_budget) / math.log(ratio))))
     while ratio ** (k + 1) <= n_budget:
@@ -514,8 +518,7 @@ def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
     expected match count at separation l is n_budget times the optimal
     per-offset probability.  Returns 0 when even l = 2 is out of reach.
     """
-    if not (math.isfinite(n_budget) and n_budget >= 1.0):
-        raise ValueError(f"n_budget must be finite and >= 1, got {n_budget}")
+    _check_budget(n_budget)
     if min_expected <= 0.0:
         raise ValueError("min_expected must be > 0")
     best = 0

@@ -1,9 +1,11 @@
 """Command-line surface: simulate, scan, analyze, plan, verify, report.
 
-The source flags of ``simulate`` and the template flags of ``scan`` each
-set the RunConfig field named by their dest, over ``--config FILE`` or
-the defaults; a comma list given as a flag is read by the same parser as
-the config key, and every value is checked by ``RunConfig.validate``.
+The source flags of ``simulate``, the template flags of ``scan`` and the
+``--lmax``/``--families`` flags of ``verify`` each set the RunConfig
+field named by their dest, over ``--config FILE`` (simulate and scan) or
+the defaults.  A comma list given as a flag, ``report --psigmas``
+included, is read by the same parser as a config-file list, and every
+value is checked as the RunConfig is built and validated.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 template verification failure.  The CSMG_THREADS environment variable
@@ -18,12 +20,12 @@ import time
 from dataclasses import fields
 from typing import List, Optional
 
-from .analysis import (DetectorLayout, TemplateFamily, direct_bounds,
+from .analysis import (TemplateFamily, direct_bounds,
                        fit_error_model, max_direct_length,
                        naive_tomography_K, optimal_instance_probability,
                        optimal_pp, splitter_settings, xi_e)
-from .config import (ConfigError, RunConfig, override, parse_value,
-                     read_config)
+from .config import (ConfigError, RunConfig, override, parse_list,
+                     parse_value, read_config)
 from .recordio import RecordFormatError, open_record, write_record
 from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
                       read_estimates_csv, tomography_rows, write_bounds_csv,
@@ -31,8 +33,7 @@ from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
                       write_summary_json, write_tomography_csv,
                       write_xi_curve_csv, xi_curve_rows)
 from .stream import simulate
-from .templates import (TemplateVerificationError, certifiable_lengths,
-                        make_template, scan, verify_template)
+from .templates import TemplateVerificationError, scan, verify_template
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +56,8 @@ def _effective_threads(requested: int) -> int:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = read_config(args.config) if args.config else RunConfig()
+    path = getattr(args, "config", None)
+    cfg = read_config(path) if path else RunConfig()
     updates = {}
     for f in fields(RunConfig):
         # a flag's dest is the field it sets; text flags (the comma lists,
@@ -106,13 +108,20 @@ def _add_template_flags(p: argparse.ArgumentParser) -> None:
                    help="scan worker threads")
 
 
+def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=float, default=1e10,
+                   help="photon budget")
+    p.add_argument("--min-expected", dest="min_expected", type=float,
+                   default=1.0, help="required expected matches")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = args.out or cfg.record_path
     if not out:
         raise ConfigError("no output path: pass --out or set record_path")
     started = time.perf_counter()
-    record = simulate(cfg.experiment(), method=args.method)
+    record = simulate(cfg, method=args.method)
     elapsed = time.perf_counter() - started
     write_record(out, record)
     rate = cfg.n_photons / elapsed if elapsed > 0 else float("inf")
@@ -194,20 +203,18 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    families = [TemplateFamily(name) for name in args.families.split(",")]
-    ls = certifiable_lengths(args.lmax)
-    if not ls:
-        raise ConfigError(f"no valid separations up to {args.lmax}")
-    for family in families:
-        for l in ls:
-            template = make_template(family, l)
-            verify_template(template, windows=args.windows)
-            print(f"ok {template.id} phase +1")
-    print(f"verified {len(families) * len(ls)} templates")
+    templates = _load_config(args).templates()
+    for template in templates:
+        verify_template(template, windows=args.windows)
+        print(f"ok {template.id} phase +1")
+    print(f"verified {len(templates)} templates")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    p_sigmas = parse_list("psigmas", args.psigmas, float)
+    if not p_sigmas:
+        raise ConfigError("psigmas must name at least one rate")
     os.makedirs(args.out_dir, exist_ok=True)
     p_ds = default_pd_grid()
     tomo = os.path.join(args.out_dir, "tomography_baseline.csv")
@@ -216,7 +223,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     write_reach_csv(reach, reach_rows(p_ds, args.budget,
                                       min_expected=args.min_expected))
     xi = os.path.join(args.out_dir, "xi_curve.csv")
-    p_sigmas = [float(v) for v in args.psigmas.split(",")]
     write_xi_curve_csv(xi, xi_curve_rows(default_pzz_grid(), p_sigmas))
     for path in (tomo, reach, xi):
         print(f"wrote {path}")
@@ -259,16 +265,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("plan", help="budget calculators for one p_d")
     p.add_argument("--pd", type=float, required=True,
                    help="detection probability")
-    p.add_argument("--budget", type=float, default=1e10,
-                   help="photon budget")
-    p.add_argument("--min-expected", dest="min_expected", type=float,
-                   default=1.0, help="required expected matches")
+    _add_budget_flags(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("verify", help="self-check the template constructions")
-    p.add_argument("--lmax", type=int, default=50,
+    p.add_argument("--lmax", dest="l_max", type=int, default=50,
                    help="largest separation to verify")
-    p.add_argument("--families", default="Gamma1,Gamma2",
+    p.add_argument("--families", dest="families", default="Gamma1,Gamma2",
                    help="comma-separated families")
     p.add_argument("--windows", type=int, default=256,
                    help="simulated windows per template")
@@ -276,9 +279,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="emit planner curve tables")
     p.add_argument("--out-dir", default="reports", help="output directory")
-    p.add_argument("--budget", type=float, default=1e10)
-    p.add_argument("--min-expected", dest="min_expected", type=float,
-                   default=1.0)
+    _add_budget_flags(p)
     p.add_argument("--psigmas", default="0,0.002",
                    help="comma-separated single-Pauli rates for the xi curve")
     p.set_defaults(func=cmd_report)

@@ -1,11 +1,12 @@
 """Run configuration files: human-readable key = value documents.
 
 One key per line, ``#`` starts a comment, unknown or duplicate keys are
-rejected with the offending line number.  A RunConfig bundles the source
-parameters with the scan selection (families, separations, mode) and
-optional output paths, and converts to the simulator's ExperimentConfig.
-Its fields are the keys: a value is read by its field's type, families
-and l_values as comma lists, and every value rule lives in validate().
+rejected with the offending line number.  A RunConfig is an
+ExperimentConfig, so the simulator takes it as it is and a bad source
+value fails when it is built; it adds the scan selection (families,
+separations, mode) and optional output paths.  Its fields are the keys:
+a value is read by its field's type, families and l_values as comma
+lists, and every scan rule lives in validate().
 """
 from __future__ import annotations
 
@@ -22,34 +23,38 @@ class ConfigError(Exception):
 
 
 _SCALARS: Dict[type, str] = {int: "an integer", float: "a number"}
+_FAMILY_NAMES = frozenset(family.value for family in TemplateFamily)
 
 
-def _parse_scalar(kind: type, text: str) -> object:
+def _parse_scalar(key: str, kind: type, text: str) -> object:
+    """Read one value of ``kind`` (a family name, a number or text) for ``key``."""
+    if kind is TemplateFamily:
+        if text not in _FAMILY_NAMES:
+            raise ConfigError(f"{key}: unknown template family {text!r}")
+        return text
     if kind not in _SCALARS:
         return text
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError(f"expected {_SCALARS[kind]}, got {text!r}") from None
+        raise ConfigError(f"{key}: expected {_SCALARS[kind]}, "
+                          f"got {text!r}") from None
+
+
+def parse_list(key: str, text: str, kind: type) -> tuple:
+    """Read a comma list of ``kind`` items; blank items are skipped."""
+    return tuple(_parse_scalar(key, kind, part.strip())
+                 for part in text.split(",") if part.strip())
 
 
 # the comma-list keys and the type of one item; every other key is one
 # value of its field's type
-_LIST_ITEMS: Dict[str, type] = {"families": str, "l_values": int}
+_LIST_ITEMS: Dict[str, type] = {"families": TemplateFamily, "l_values": int}
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ExperimentConfig):
     n_photons: int = 1_000_000
-    seed: int = 0
-    p_d: float = 1.0
-    q_x: float = 1.0 / 3.0
-    q_y: float = 1.0 / 3.0
-    q_z: float = 1.0 / 3.0
-    p_sigma: float = 0.0
-    p_zz: float = 0.0
-    burn_in: int = 100
-    tau_em: float = 1e-9
     families: Tuple[str, ...] = ("Gamma1", "Gamma2")
     l_max: int = 11
     l_values: Optional[Tuple[int, ...]] = None
@@ -60,11 +65,10 @@ class RunConfig:
     estimates_path: Optional[str] = None
 
     def validate(self) -> "RunConfig":
-        """Check every value rule; raises ConfigError on the first broken one."""
+        """Check the scan rules; raises ConfigError on the first broken one."""
+        for name in self.families:  # the families reader's name check
+            _parse_scalar("families", TemplateFamily, name)
         try:
-            self.experiment()
-            for name in self.families:
-                TemplateFamily(name)
             for l in self.separations():
                 _check_length(l)
         except ValueError as exc:
@@ -80,10 +84,6 @@ class RunConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         return self
-
-    def experiment(self) -> ExperimentConfig:
-        return ExperimentConfig(**{f.name: getattr(self, f.name)
-                                   for f in fields(ExperimentConfig)})
 
     def separations(self) -> Tuple[int, ...]:
         if self.l_values is not None:
@@ -101,13 +101,9 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 
 def parse_value(key: str, text: str) -> object:
     """Read the value of field ``key`` from its config-file text."""
-    try:
-        if key in _LIST_ITEMS:
-            return tuple(_parse_scalar(_LIST_ITEMS[key], part.strip())
-                         for part in text.split(",") if part.strip())
-        return _parse_scalar(_FIELD_TYPES[key], text)
-    except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    if key in _LIST_ITEMS:
+        return parse_list(key, text, _LIST_ITEMS[key])
+    return _parse_scalar(key, _FIELD_TYPES[key], text)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -129,7 +125,7 @@ def parse_config(text: str) -> RunConfig:
             values[key] = parse_value(key, value)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    return RunConfig(**values).validate()
+    return override(RunConfig(), **values)
 
 
 def read_config(path: str) -> RunConfig:
@@ -161,4 +157,8 @@ def write_config(path: str, cfg: RunConfig) -> None:
 def override(cfg: RunConfig, **updates) -> RunConfig:
     """Apply non-None keyword overrides and re-validate."""
     changes = {k: v for k, v in updates.items() if v is not None}
-    return replace(cfg, **changes).validate()
+    try:
+        cfg = replace(cfg, **changes)
+    except ValueError as exc:  # a source rule, checked as the config is built
+        raise ConfigError(str(exc)) from None
+    return cfg.validate()

@@ -35,7 +35,6 @@ BASIS_X = 1
 BASIS_Y = 2
 BASIS_Z = 3
 BASIS_NAMES = {BASIS_X: "X", BASIS_Y: "Y", BASIS_Z: "Z"}
-BASIS_CODES = {"X": BASIS_X, "Y": BASIS_Y, "Z": BASIS_Z}
 
 
 class RecordFormatError(Exception):
@@ -146,16 +145,3 @@ def open_record(path: Union[str, os.PathLike]) -> ClickRecord:
     validate_events(events)
     return ClickRecord(events=events, burn_in=burn_in)
 
-
-def format_events(events: np.ndarray, limit: int = 32) -> str:
-    """Human-readable preview like ``Z+ Y- __ X+ ...`` for logs and the CLI."""
-    parts = []
-    for byte in events[:limit]:
-        byte = int(byte)
-        if byte == EVENT_LOST:
-            parts.append("__")
-        else:
-            parts.append(BASIS_NAMES[event_basis(byte)] + ("+" if byte & 1 == 0 else "-"))
-    if len(events) > limit:
-        parts.append("...")
-    return " ".join(parts)

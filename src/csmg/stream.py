@@ -63,7 +63,8 @@ class ExperimentConfig:
     tau_em: float = 1e-9
 
     def __post_init__(self) -> None:
-        for field in fields(self):
+        # not fields(self): RunConfig's own fields are not numbers
+        for field in fields(ExperimentConfig):
             if not math.isfinite(getattr(self, field.name)):
                 raise ValueError(f"{field.name} must be finite")
         if self.n_photons < 1:
@@ -328,10 +329,7 @@ def _scan_chain(codes: np.ndarray, out: np.ndarray, state: int,
 def _normalize_forced(forced_bases, n: int) -> Optional[np.ndarray]:
     if forced_bases is None:
         return None
-    arr = np.asarray(forced_bases)
-    if arr.dtype.kind in "US":
-        arr = np.array([_AXES.index(str(b).upper()) for b in arr], dtype=np.uint8)
-    arr = arr.astype(np.uint8, copy=False)
+    arr = np.asarray(forced_bases).astype(np.uint8, copy=False)
     if arr.shape[0] != n:
         raise ValueError("forced_bases must give one basis per photon")
     if arr.max(initial=0) > 2:

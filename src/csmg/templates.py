@@ -25,12 +25,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .pauli import PauliString
-from .recordio import ClickRecord
+from .recordio import BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z, ClickRecord
 
-SLOT_FREE = 0
-SLOT_X = 1
-SLOT_Y = 2
-SLOT_Z = 3
+# a slot holds the basis code a record byte carries in ``byte >> 1``, so
+# the scan compares record bytes with slots directly
+SLOT_FREE, SLOT_X, SLOT_Y, SLOT_Z = BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z
 _SLOT_NAMES = ("_", "X", "Y", "Z")
 
 # Window starts per scan block: enough to amortise the per-block program,

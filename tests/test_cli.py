@@ -115,6 +115,8 @@ def test_flag_dests_name_the_fields_each_subcommand_sets():
     assert {name for name, _ in _field_flags(subs["simulate"])} \
         == _SOURCE_FIELDS
     assert {name for name, _ in _field_flags(subs["scan"])} == _SCAN_FIELDS
+    assert {name for name, _ in _field_flags(subs["verify"])} \
+        == {"l_max", "families"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -143,6 +145,18 @@ def test_flags_and_config_file_read_alike(cfg, sep):
 def test_validate_rejects_bad_family_lists(families):
     with pytest.raises(ConfigError):
         RunConfig(families=families).validate()
+
+
+def test_unknown_family_is_named_alike_in_files_flags_and_validate(capsys):
+    message = "families: unknown template family 'Bogus'"
+    with pytest.raises(ConfigError) as err:
+        parse_config("seed = 1\nfamilies = Gamma1, Bogus\n")
+    assert str(err.value) == f"line 2: {message}"
+    with pytest.raises(ConfigError) as err:
+        RunConfig(families=("Bogus",)).validate()
+    assert str(err.value) == message
+    assert run(["verify", "--families", "Bogus"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags, code", [
@@ -206,6 +220,19 @@ def test_override_revalidates():
     assert override(cfg, seed=None).seed == cfg.seed
     with pytest.raises(ConfigError):
         override(cfg, mode="bogus")
+    with pytest.raises(ConfigError, match="p_d must lie in"):
+        override(cfg, p_d=1.7)
+
+
+def test_run_config_is_the_simulator_config():
+    cfg = RunConfig(n_photons=50, seed=3, p_d=0.5, p_zz=0.1)
+    assert isinstance(cfg, ExperimentConfig)
+    assert [f.name for f in fields(ExperimentConfig)] \
+        == [f.name for f in fields(RunConfig)][:len(fields(ExperimentConfig))]
+    with pytest.raises(ValueError, match="q_x \\+ q_y \\+ q_z"):
+        RunConfig(q_x=0.5)
+    with pytest.raises(ConfigError, match="^q_x must be >= 0$"):
+        parse_config("q_x = -1\nq_y = 1\nq_z = 1\n")
 
 
 def test_runconfig_template_selection():
@@ -440,6 +467,17 @@ def test_verify_ok(capsys):
     assert out.count("ok") == 6
 
 
+def test_verify_reads_families_as_scan_does(capsys):
+    assert run(["verify", "--lmax", "5", "--families", "Gamma1,Gamma2"]) == 0
+    plain = capsys.readouterr().out
+    assert run(["verify", "--lmax", "5", "--families", "Gamma1, Gamma2"]) == 0
+    assert capsys.readouterr().out == plain
+    assert plain.splitlines() == [
+        "ok Gamma1(l=2) phase +1", "ok Gamma1(l=5) phase +1",
+        "ok Gamma2(l=2) phase +1", "ok Gamma2(l=5) phase +1",
+        "verified 4 templates"]
+
+
 def test_verify_failure_exit_code(monkeypatch):
     import csmg.cli as cli
     from csmg.templates import TemplateVerificationError
@@ -463,6 +501,24 @@ def test_report_emits_planner_tables(tmp_path):
     assert xi[0] == ["p_sigma", "p_zz", "xi_continuous", "xi_grid"]
     sigmas = {row[0] for row in xi[1:]}
     assert len(sigmas) == 2
+
+
+def test_report_psigmas_read_as_a_config_list(tmp_path, capsys):
+    tables = []
+    for text in ("0,0.002", "0, 0.002", "0,,0.002"):
+        out_dir = tmp_path / str(len(tables))
+        assert run(["report", "--out-dir", str(out_dir),
+                    "--psigmas", text]) == 0
+        tables.append((out_dir / "xi_curve.csv").read_bytes())
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+    capsys.readouterr()
+    assert run(["report", "--out-dir", str(tmp_path / "x"),
+                "--psigmas", "0,x"]) == 2
+    assert capsys.readouterr().err \
+        == "error: psigmas: expected a number, got 'x'\n"
+    assert run(["report", "--out-dir", str(tmp_path / "x"),
+                "--psigmas", " , "]) == 2
+    assert not (tmp_path / "x").exists()  # no table is written
 
 
 # ---------------------------------------------------------------------------

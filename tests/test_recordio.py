@@ -17,7 +17,6 @@ from csmg.recordio import (
     encode_event,
     event_basis,
     event_outcome,
-    format_events,
     open_record,
     validate_events,
     write_record,
@@ -214,12 +213,6 @@ def test_lost_fraction_and_basis_counts():
     assert rec.lost_fraction() == pytest.approx(2 / 7)
     assert rec.n_photons == 7
     assert rec.basis_counts() == {"X": 1, "Y": 1, "Z": 3}
-
-
-def test_format_events_text():
-    events = np.array([0x06, 0x05, 0x00, 0x02], dtype=np.uint8)
-    assert format_events(events) == "Z+ Y- __ X+"
-    assert format_events(events, limit=2) == "Z+ Y- ..."
 
 
 def test_record_rejects_bad_burn_in():
