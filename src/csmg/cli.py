@@ -8,8 +8,10 @@ included, is read by the same parser as a config-file list, and every
 value is checked as the RunConfig is built and validated.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
-3 template verification failure.  The CSMG_THREADS environment variable
-caps scan parallelism.
+3 template verification failure.  analyze, plan and report compute
+everything before they write, so on exit 2 they leave no file and no
+result line.  Scan threads are capped by the CPU count and by the
+CSMG_THREADS environment variable.
 """
 from __future__ import annotations
 
@@ -46,13 +48,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _effective_threads(requested: int) -> int:
-    cap = os.environ.get("CSMG_THREADS")
-    if cap:
+    cap = os.cpu_count() or 1
+    env = os.environ.get("CSMG_THREADS")
+    if env:
         try:
-            return max(1, min(requested, int(cap)))
+            cap = min(cap, int(env))
         except ValueError:
-            raise ConfigError(f"CSMG_THREADS must be an integer, got {cap!r}")
-    return max(1, requested)
+            raise ConfigError(f"CSMG_THREADS must be an integer, got {env!r}")
+    return max(1, min(requested, cap))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -139,13 +142,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     out = args.out or cfg.estimates_path
     if not out:
         raise ConfigError("no output path: pass --out or set estimates_path")
-    templates = list(cfg.templates())
-    ids = [t.id for t in templates]
-    repeated = sorted({i for i in ids if ids.count(i) > 1})
-    if repeated:
-        # a repeated template would be fitted as an independent point
-        raise ConfigError(f"template selected more than once: "
-                          f"{', '.join(repeated)}")
+    templates = cfg.templates()
     record = open_record(record_path)
     estimates = scan(record, templates, mode=cfg.mode, stride=cfg.stride,
                      threads=_effective_threads(cfg.threads))
@@ -161,12 +158,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     estimates = read_estimates_csv(args.estimates)
     table = direct_bounds(estimates, z=args.z)
-    write_bounds_csv(args.out_bounds, table)
     fit = None
     xi = None
     if not args.no_fit:
         fit = fit_error_model(estimates)
         xi = xi_e(fit)
+    write_bounds_csv(args.out_bounds, table)
     write_summary_json(args.out_summary, table=table, fit=fit, xi=xi)
     for row in table.rows:
         print(f"l={row.l}: EoF central {row.eof_central:.4f}, "
@@ -186,8 +183,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     k = naive_tomography_K(args.pd, args.budget)
-    print(f"p_d = {args.pd}, photon budget = {args.budget:g}")
-    print(f"tomography baseline: K = {k}")
+    lines = [f"p_d = {args.pd}, photon budget = {args.budget:g}",
+             f"tomography baseline: K = {k}"]
     for family in (TemplateFamily.GAMMA1, TemplateFamily.GAMMA2):
         reach = max_direct_length(family, args.pd, args.budget,
                                   min_expected=args.min_expected)
@@ -198,7 +195,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             prob = optimal_instance_probability(family, reach, args.pd)
             line += (f" (p_p = {pp:.4f}, q = ({qs[0]:.4f}, {qs[1]:.4f}, "
                      f"{qs[2]:.4f}), match prob {prob:.3g})")
-        print(line)
+        lines.append(line)
+    print("\n".join(lines))
     return 0
 
 
@@ -215,15 +213,18 @@ def cmd_report(args: argparse.Namespace) -> int:
     p_sigmas = parse_list("psigmas", args.psigmas, float)
     if not p_sigmas:
         raise ConfigError("psigmas must name at least one rate")
-    os.makedirs(args.out_dir, exist_ok=True)
     p_ds = default_pd_grid()
+    tomo_rows = tomography_rows(p_ds, args.budget)
+    reach_table = reach_rows(p_ds, args.budget,
+                             min_expected=args.min_expected)
+    xi_rows = xi_curve_rows(default_pzz_grid(), p_sigmas)
+    os.makedirs(args.out_dir, exist_ok=True)
     tomo = os.path.join(args.out_dir, "tomography_baseline.csv")
-    write_tomography_csv(tomo, tomography_rows(p_ds, args.budget))
+    write_tomography_csv(tomo, tomo_rows)
     reach = os.path.join(args.out_dir, "direct_reach.csv")
-    write_reach_csv(reach, reach_rows(p_ds, args.budget,
-                                      min_expected=args.min_expected))
+    write_reach_csv(reach, reach_table)
     xi = os.path.join(args.out_dir, "xi_curve.csv")
-    write_xi_curve_csv(xi, xi_curve_rows(default_pzz_grid(), p_sigmas))
+    write_xi_curve_csv(xi, xi_rows)
     for path in (tomo, reach, xi):
         print(f"wrote {path}")
     return 0

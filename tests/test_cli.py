@@ -21,7 +21,8 @@ from csmg.config import (
 from csmg.recordio import ClickRecord, open_record, write_record
 from csmg.reports import read_estimates_csv, write_estimates_csv
 from csmg.stream import ExperimentConfig
-from csmg.templates import CorrelatorEstimate, make_gamma1, scan
+from csmg.templates import (CorrelatorEstimate, make_gamma1, scan,
+                            verify_template_stream)
 
 from helpers import events_from_text
 
@@ -428,6 +429,20 @@ def test_analyze_bad_z_exit_code_2(tmp_path, z, capsys):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_analyze_failed_fit_writes_nothing(tmp_path, capsys):
+    # two separations cannot fit two rates; the bounds alone would succeed
+    est_path = tmp_path / "est.csv"
+    write_estimates_csv(est_path, [
+        CorrelatorEstimate(f"{f}(l={l})", f, l, 500, 400, 0.0)
+        for f in ("Gamma1", "Gamma2") for l in (2, 5)])
+    bounds, summary = tmp_path / "b.csv", tmp_path / "s.json"
+    assert run(["analyze", str(est_path), "--out-bounds", str(bounds),
+                "--out-summary", str(summary)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and out == ""
+    assert not bounds.exists() and not summary.exists()
+
+
 def test_analyze_no_fit_skips_rates(tmp_path):
     est_path = tmp_path / "est.csv"
     write_estimates_csv(est_path, [
@@ -461,6 +476,12 @@ def test_plan_non_finite_budget_exit_code_2(budget, capsys):
     assert "n_budget must be finite" in capsys.readouterr().err
 
 
+def test_plan_prints_nothing_on_exit_code_2(capsys):
+    # the reach rule fails after the tomography line could be printed
+    assert run(["plan", "--pd", "0.5", "--min-expected", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: min_expected must be > 0\n")
+
+
 def test_verify_ok(capsys):
     assert run(["verify", "--lmax", "8"]) == 0
     out = capsys.readouterr().out
@@ -476,6 +497,21 @@ def test_verify_reads_families_as_scan_does(capsys):
         "ok Gamma1(l=2) phase +1", "ok Gamma1(l=5) phase +1",
         "ok Gamma2(l=2) phase +1", "ok Gamma2(l=5) phase +1",
         "verified 4 templates"]
+
+
+def test_verify_rejects_repeated_templates_exit_code_2(capsys):
+    assert run(["verify", "--families", "Gamma1,Gamma1", "--lmax", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: template selected more than once: Gamma1(l=2)\n"
+
+
+@pytest.mark.parametrize("windows", ["0", "-3"])
+def test_verify_windows_below_one_exit_code_2(windows, capsys):
+    assert run(["verify", "--lmax", "2", f"--windows={windows}"]) == 2
+    assert capsys.readouterr().err == "error: windows must be >= 1\n"
+    with pytest.raises(ValueError, match="windows must be >= 1"):
+        verify_template_stream(make_gamma1(2), windows=int(windows))
 
 
 def test_verify_failure_exit_code(monkeypatch):
@@ -519,6 +555,19 @@ def test_report_psigmas_read_as_a_config_list(tmp_path, capsys):
     assert run(["report", "--out-dir", str(tmp_path / "x"),
                 "--psigmas", " , "]) == 2
     assert not (tmp_path / "x").exists()  # no table is written
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--min-expected", "0"], "min_expected must be > 0"),
+    (["--psigmas=-0.5"], "p_sigma must lie in [0, 3/4]"),
+])
+def test_report_writes_no_table_on_exit_code_2(tmp_path, flags, message,
+                                               capsys):
+    out_dir = tmp_path / "tables"
+    assert run(["report", "--out-dir", str(out_dir), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -576,3 +625,30 @@ def test_threads_env_cap(tmp_path, monkeypatch, capsys):
     assert run(["scan", str(rec_path), "--l-values", "2", "--threads", "2",
                 "--out", str(uncapped)]) == 0
     assert _read_csv(out) == _read_csv(uncapped)
+
+
+@pytest.mark.parametrize("cpus, requested, expected", [
+    (2, 10 ** 9, 2), (None, 8, 1), (4, 3, 3)])
+def test_threads_capped_by_cpu_count(tmp_path, monkeypatch, cpus,
+                                     requested, expected):
+    # the scan is stubbed: no thread pool of the requested size is made
+    import csmg.cli as cli
+
+    rec_path = tmp_path / "s.csmg"
+    write_record(rec_path, ClickRecord(events=np.full(64, 0x06, np.uint8),
+                                       burn_in=0))
+    seen = []
+
+    def fake_scan(record, templates, **kwargs):
+        seen.append(kwargs["threads"])
+        return []
+
+    monkeypatch.delenv("CSMG_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "scan", fake_scan)
+    assert run(["scan", str(rec_path), "--l-values", "2", "--threads",
+                str(requested), "--out", str(tmp_path / "e.csv")]) == 0
+    monkeypatch.setenv("CSMG_THREADS", "1")
+    assert run(["scan", str(rec_path), "--l-values", "2", "--threads",
+                str(requested), "--out", str(tmp_path / "e.csv")]) == 0
+    assert seen == [expected, 1]

@@ -25,7 +25,7 @@ from csmg.templates import (
     verify_template_algebra,
     verify_template_stream,
     zz_flip_pair_count,
-    _compile,
+    _trie,
 )
 from csmg.analysis import instance_probability
 
@@ -369,15 +369,32 @@ def test_scan_rejects_negative_burn_in():
 
 def test_scan_shares_template_prefixes():
     # the l <= 50 grid needs 680 required slots one template at a time;
-    # its trie has 119 edges and runs in 3 registers
+    # its trie has 119 edges
     templates = [make_template(f, l) for f in ("Gamma1", "Gamma2")
                  for l in certifiable_lengths(50)]
     assert sum(t.n_measured for t in templates) == 680
-    program, n_regs = _compile(templates)
-    assert sum(op[0] == "edge" for op in program) == 119
-    assert n_regs == 3
-    assert sorted(op[2] for op in program if op[0] == "end") == \
-        list(range(len(templates)))
+    edges, ends = 0, []
+    nodes = [_trie(templates)]
+    while nodes:
+        node = nodes.pop()
+        edges += len(node.children)
+        ends += node.ends
+        nodes.extend(node.children.values())
+    assert edges == 119
+    assert sorted(ends) == list(range(len(templates)))
+
+
+def test_scan_walks_a_deep_trie_without_recursion():
+    # Gamma1(1502) has 1004 required slots, one trie level each
+    templates = [make_gamma1(1502), make_gamma2(1502)]
+    assert templates[0].n_measured == 1004
+    rng = np.random.default_rng(33)
+    events = np.concatenate([
+        _events_near(rng, t.slots, 3 * t.span, 0.0005) for t in templates])
+    got = scan(events, templates, chunk_size=1000)
+    assert [(e.match_count, e.signed_sum) for e in got] == [
+        reference_scan(events, t)[:2] for t in templates]
+    assert [e.match_count for e in got] == [3, 3]
 
 
 def test_scan_window_must_fit_in_record():
@@ -466,6 +483,22 @@ def _check_against_reference(case):
                                    kwargs["stride"], kwargs["burn_in"])
         assert (est.match_count, est.signed_sum,
                 est.overlap_fraction) == want, t
+
+
+def test_scan_matches_reference_at_the_default_block_width():
+    # about 6000 lossless photons with uniform q in one default block:
+    # dense masks nest three levels deep under sibling branches before
+    # they turn into index arrays, which the small generated records
+    # above rarely reach
+    rng = np.random.default_rng(34)
+    events = (rng.integers(1, 4, size=6000, dtype=np.uint8) << 1) \
+        | rng.integers(0, 2, size=6000, dtype=np.uint8)
+    templates = [make_template(f, l) for f in ("Gamma1", "Gamma2")
+                 for l in certifiable_lengths(11)]
+    for mode in ("all", "greedy"):
+        for threads in (1, 2):
+            _check_against_reference((events, templates, dict(
+                mode=mode, stride=1, burn_in=0, threads=threads)))
 
 
 @settings(max_examples=150, deadline=None)
