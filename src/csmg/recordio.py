@@ -16,6 +16,7 @@ absolute file offset of the first offender.
 """
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -43,6 +44,19 @@ class RecordFormatError(Exception):
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message if offset is None else f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def as_int(name: str, value) -> int:
+    """``value`` as an int; a bool, float or other non-integer raises ValueError.
+
+    numpy integers pass (through ``operator.index``).
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def encode_event(basis: int, outcome: int) -> int:
@@ -79,6 +93,7 @@ class ClickRecord:
 
     def __post_init__(self) -> None:
         self.events = np.ascontiguousarray(self.events, dtype=np.uint8)
+        self.burn_in = as_int("burn_in", self.burn_in)
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
 

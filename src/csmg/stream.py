@@ -28,6 +28,10 @@ decisions into a 6-bit step code, then walks the frontier chain as a
 prefix scan: every code acts on the six frontier states as a map, the 64
 maps close under composition into 66, and composing them pairwise over a
 chunk yields every photon's entry state in O(log chunk) numpy calls.
+The scan reads two adjacent bytes as one uint16, so each gather covers
+two photons or two blocks: one lookup gives a photon pair's map, one
+hands two sibling blocks their entry states, and one writes a pair's two
+event bytes.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .pauli import PauliString, StabilizerFrame
-from .recordio import EVENT_LOST, ClickRecord, encode_event
+from .recordio import EVENT_LOST, ClickRecord, as_int, encode_event
 
 _CHUNK = 1 << 16  # keeps a chunk's scan working set in cache
 _AXES = "XYZ"
@@ -67,6 +71,8 @@ class ExperimentConfig:
         for field in fields(ExperimentConfig):
             if not math.isfinite(getattr(self, field.name)):
                 raise ValueError(f"{field.name} must be finite")
+        for name in ("n_photons", "seed", "burn_in"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if self.n_photons < 1:
             raise ValueError("n_photons must be >= 1")
         if not 0.0 <= self.p_d <= 1.0:
@@ -124,14 +130,17 @@ def _encode_chunk(cfg: ExperimentConfig, uniforms: np.ndarray,
         np.add(forced, forced, out=enc)
     elif cfg.p_d > 0.0:
         u = uniforms[:, 2]
-        np.divide(u, cfg.p_d, out=v)
+        with np.errstate(over="ignore"):  # inf for a tiny p_d: lost below
+            np.divide(u, cfg.p_d, out=v)
         np.greater_equal(v, cfg.q_x, out=enc)
         np.greater_equal(v, cfg.q_x + cfg.q_y, out=scratch)
         enc += scratch
-        np.greater_equal(u, cfg.p_d, out=scratch)
+        # u >= p_d exactly when u / p_d >= 1.0: for u < p_d the correctly
+        # rounded quotient is at most 1 - 2^-53, so it cannot reach 1
+        np.greater_equal(v, 1.0, out=scratch)
         scratch *= FIN_LOST   # basis | 3 == 3: a lost photon overrides it
         enc |= scratch
-        enc <<= 1
+        enc += enc  # fin * 2; numpy's uint8 shifts are not vectorised
     else:
         enc.fill(FIN_LOST * 2)
     np.greater_equal(uniforms[:, 3], 0.5, out=scratch)
@@ -157,7 +166,8 @@ def _encode_chunk(cfg: ExperimentConfig, uniforms: np.ndarray,
 # Each code's next-state column is a map on the 6 states.  Closing the 64
 # maps under composition gives 66 maps (identity included), so a chunk's
 # walk can be composed pairwise as a prefix scan and the lookups that scan
-# needs (code -> map id, compose, apply) are derived from the same tables.
+# needs (code -> map id, compose, apply, and their forms for two adjacent
+# photons) are derived from the same tables.
 
 _STATE_LETTERS = ("X", "Y", "Z")
 # Map ids are stored as uint8 and a pair of them indexes a 2^16 table.
@@ -197,9 +207,18 @@ class _ChainTables(NamedTuple):
     next_state: np.ndarray      # (6, 64) frontier state after the step
     final: np.ndarray           # (6, 64) last photon's byte; zz bit unused
     code_map: np.ndarray        # (64,) map id of each code's step
-    compose_pairs: np.ndarray   # (2^16,) id of "a then b", indexed by the
-                                # uint16 view of the adjacent bytes (a, b)
+    compose_pairs: np.ndarray   # (2^16,) id of "a then b" at [a | b << 8]
     apply: np.ndarray           # (ids*8,) image of state s at [id << 3 | s]
+    # the same lookups for two adjacent photons, codes a, b as a | b << 8
+    pair_map: np.ndarray        # (2^16,) id of "step a, then step b"
+    apply_pair: np.ndarray      # (ids*8,) s | apply[id << 3 | s] << 8
+                                # at [id << 3 | s]
+    out2: np.ndarray            # (6 << 16,) out[s, a] | out[next(s, a), b] << 8
+                                # at [s << 16 | a | b << 8]
+
+
+# Two adjacent bytes (a, b) are read as the value a | b << 8 on any host.
+_PAIR = np.dtype("<u2")
 
 
 def _map_closure(table_next: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -227,12 +246,32 @@ def _map_closure(table_next: np.ndarray) -> Tuple[np.ndarray, ...]:
     compose = np.zeros((_MAX_MAPS, _MAX_MAPS), dtype=np.uint8)
     compose[:k, :k] = np.reshape(
         [ids[row] for row in map(tuple, then.reshape(-1, 6).tolist())], (k, k))
-    pairs = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
-    compose_pairs = compose[pairs[:, 0], pairs[:, 1]]
     apply = np.zeros((k, 8), dtype=np.uint8)
     apply[:, :6] = image
     code_map = np.array([ids[step] for step in steps], dtype=np.uint8)
-    return code_map, compose_pairs, apply.ravel()
+    return code_map, compose.T.ravel(), apply.ravel()
+
+
+def _pair_tables(out: np.ndarray, nxt: np.ndarray, code_map: np.ndarray,
+                 compose_pairs: np.ndarray,
+                 apply: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Derive the pair-step lookups of ``_ChainTables`` from the single steps.
+
+    A flat index a | b << 8 is the 2-D position [b, a]; entries for bytes
+    that are no step code (64 and up) stay 0 and are never read.
+    """
+    a = np.arange(64)
+    b = a[:, None]
+    ids = code_map.astype(np.intp)
+    pair_map = np.zeros((256, 256), dtype=np.uint8)
+    pair_map[:64, :64] = compose_pairs[ids[a] | ids[b] << 8]
+    apply_pair = (np.arange(apply.shape[0]) & 7 | apply.astype(np.intp) << 8
+                  ).astype(_PAIR)
+    s = np.arange(6)[:, None, None]
+    step = out.reshape(6, 64).astype(np.intp)
+    out2 = np.zeros((6, 256, 256), dtype=_PAIR)
+    out2[:, :64, :64] = step[s, a] | step[nxt[s, a], b] << 8
+    return pair_map.ravel(), apply_pair, out2.ravel()
 
 
 def _build_tables() -> _ChainTables:
@@ -266,7 +305,9 @@ def _build_tables() -> _ChainTables:
                         frame.apply_pauli(PauliString.single(_AXES[sp - 1], 0))
                     final[state, (sp * 8 + fin) * 2 + coin] = _finalize_to_byte(
                         frame, 0, fin, 0.25 if coin == 0 else 0.75)
-    return _ChainTables(init, out.ravel(), nxt, final, *_map_closure(nxt))
+    closure = _map_closure(nxt)
+    return _ChainTables(init, out.ravel(), nxt, final, *closure,
+                        *_pair_tables(out, nxt, *closure))
 
 
 _TABLES: Optional[_ChainTables] = None
@@ -281,60 +322,72 @@ def _tables() -> _ChainTables:
 
 # ---------------------------------------------------------------------------
 # The chain walk over a chunk is a work-efficient prefix scan (Blelloch
-# 1990) over the map ids: an up-sweep composes adjacent maps pairwise, a
-# down-sweep hands each photon its entry state, and one gather through the
-# output table writes the event bytes.  Each level is a few numpy calls,
-# so there is no per-photon Python.
+# 1990) over the map ids of photon pairs: an up-sweep composes adjacent
+# maps pairwise, a down-sweep hands each pair its entry state, and one
+# gather through the pair output table writes both event bytes.  Every
+# level reads and writes two bytes per element as one uint16, so each
+# gather covers two blocks and no level needs a strided slice.
 
 def _scan_chain(codes: np.ndarray, out: np.ndarray, state: int,
                 tables: _ChainTables, tree: np.ndarray) -> int:
     """Write the event bytes of ``codes`` (non-empty) into ``out``.
 
-    ``tree`` is a uint8 work buffer of at least twice the next power of two
-    of ``len(codes)``.  Returns the frontier state after the last step.
-    Every index is in range by construction; ``mode="clip"`` lets ``take``
-    write straight into ``out`` instead of through a temporary.
+    ``tree`` is a uint8 work buffer of at least the next power of two of
+    ``len(codes)``.  Returns the frontier state after the last step.  The
+    scan covers the photon pairs; an odd last photon takes one single
+    step.  Every index is in range by construction; ``mode="clip"`` lets
+    ``take`` write straight into its output instead of through a temporary.
     """
     n = codes.shape[0]
-    size = 1 << (n - 1).bit_length()
-    level = tree[:size]
-    tables.code_map.take(codes, out=level[:n], mode="clip")
-    level[n:] = 0  # identity maps pad the scan to a power of two
-    levels = [level]
-    pos = size
-    while size > 1:  # up-sweep: level k+1 holds the maps of 2^(k+1)-blocks
-        size >>= 1
-        parent = tree[pos:pos + size]
-        tables.compose_pairs.take(level.view(np.uint16), out=parent, mode="clip")
-        levels.append(parent)
-        pos += size
-        level = parent
-    end = int(tables.apply[(int(level[0]) << 3) | state])
-    entry = np.full(1, state, dtype=np.uint8)
-    for level in reversed(levels[:-1]):  # down-sweep: entry state per block
-        child = np.empty(level.shape[0], dtype=np.uint8)
-        child[0::2] = entry
-        index = level[0::2].astype(np.uint16)
-        index <<= 3
-        index |= entry
-        tables.apply.take(index, out=child[1::2], mode="clip")
-        entry = child
-    index = entry[:n].astype(np.uint16)
-    index <<= 6
-    index |= codes
-    tables.out.take(index, out=out, mode="clip")
-    return end
+    half = n >> 1
+    if half:
+        steps = codes[:2 * half].view(_PAIR)
+        size = 1 << (half - 1).bit_length()
+        level = tree[:size]
+        tables.pair_map.take(steps, out=level[:half], mode="clip")
+        level[half:] = 0  # identity maps pad the scan to a power of two
+        levels = [level]
+        pos = size
+        while size > 1:  # up-sweep: each level holds blocks twice as long
+            size >>= 1
+            parent = tree[pos:pos + size]
+            tables.compose_pairs.take(level.view(_PAIR), out=parent, mode="clip")
+            levels.append(parent)
+            pos += size
+            level = parent
+        entry = level
+        end = int(tables.apply[(int(entry[0]) << 3) | state])
+        entry[0] = state
+        for level in reversed(levels[:-1]):  # down-sweep: overwrite each
+            blocks = level.view(_PAIR)       # (left, right) with their entries
+            index = blocks & 0xFF
+            index <<= 3
+            index |= entry
+            tables.apply_pair.take(index, out=blocks, mode="clip")
+            entry = level
+        index = entry[:half].astype(np.uint32)
+        index <<= 16
+        index |= steps
+        tables.out2.take(index, out=out[:2 * half].view(_PAIR), mode="clip")
+        state = end
+    if n & 1:
+        code = int(codes[n - 1])
+        out[n - 1] = tables.out[(state << 6) | code]
+        state = int(tables.next_state[state, code])
+    return state
 
 
 def _normalize_forced(forced_bases, n: int) -> Optional[np.ndarray]:
     if forced_bases is None:
         return None
-    arr = np.asarray(forced_bases).astype(np.uint8, copy=False)
-    if arr.shape[0] != n:
-        raise ValueError("forced_bases must give one basis per photon")
-    if arr.max(initial=0) > 2:
-        raise ValueError("forced basis codes must be 0 (X), 1 (Y) or 2 (Z)")
-    return arr
+    arr = np.asarray(forced_bases)
+    if arr.ndim != 1 or arr.shape[0] != n:
+        raise ValueError("forced_bases must be a 1-D sequence of one basis "
+                         "per photon")
+    if arr.dtype.kind not in "iuf" or not np.isin(arr, (0, 1, 2)).all():
+        raise ValueError("forced basis codes must be the integers 0 (X), "
+                         "1 (Y) or 2 (Z)")
+    return arr.astype(np.uint8, copy=False)
 
 
 def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
@@ -351,7 +404,7 @@ def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
     codes = np.empty(width + 1, dtype=np.uint8)
     scratch = np.empty(width, dtype=np.uint8)
     ratio = np.empty(width)
-    tree = np.empty(2 << (width - 1).bit_length(), dtype=np.uint8)
+    tree = np.empty(1 << (width - 1).bit_length(), dtype=np.uint8)
     state = tables.init
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
@@ -362,7 +415,7 @@ def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
         if cfg.p_zz > 0.0:
             zz = scratch[first:m]
             np.less(u[first:, 1], cfg.p_zz, out=zz)
-            zz <<= 3
+            zz *= 8
             codes[first:m] += zz
         if m > first:
             state = _scan_chain(codes[first:m], events[start + first - 1:start + m - 1],

@@ -219,3 +219,20 @@ def test_record_rejects_bad_burn_in():
     events = np.array([0x06], dtype=np.uint8)
     with pytest.raises(ValueError):
         ClickRecord(events=events, burn_in=-1)
+
+
+@pytest.mark.parametrize("burn_in", [2.5, 2.0, True, "2"])
+def test_record_rejects_non_integer_burn_in(burn_in):
+    # a float burn-in used to fail only at write time (struct.error) and a
+    # scan read 2.5 as 2
+    with pytest.raises(ValueError, match="burn_in must be an integer"):
+        ClickRecord(events=np.array([0x06], dtype=np.uint8), burn_in=burn_in)
+
+
+def test_record_takes_numpy_integer_burn_in(tmp_path):
+    rec = ClickRecord(events=np.array([0x06, 0x02], dtype=np.uint8),
+                      burn_in=np.int64(1))
+    assert type(rec.burn_in) is int
+    path = tmp_path / "np.csmg"
+    write_record(path, rec)
+    assert open_record(path).burn_in == 1

@@ -52,6 +52,23 @@ def test_config_rejects_non_finite(field, value):
         _cfg(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["n_photons", "seed", "burn_in"])
+@pytest.mark.parametrize("value", [2.5, 1000.0, True, False])
+def test_config_rejects_non_integer_counts(field, value):
+    # burn_in=2.5 used to simulate a record that write_record could not
+    # write; seed=1.5 and n_photons=1000.0 failed later inside numpy
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _cfg(**{field: value})
+
+
+def test_config_takes_numpy_integer_counts():
+    cfg = _cfg(n_photons=np.int64(50), seed=np.uint32(3), burn_in=np.int8(2))
+    assert (cfg.n_photons, cfg.seed, cfg.burn_in) == (50, 3, 2)
+    assert all(type(v) is int for v in (cfg.n_photons, cfg.seed, cfg.burn_in))
+    assert np.array_equal(simulate(cfg).events,
+                          simulate(_cfg(n_photons=50, seed=3)).events)
+
+
 def test_photon_budget_per_second():
     cfg = _cfg(tau_em=1e-9)
     assert cfg.photon_budget_per_second == pytest.approx(10 ** 9)
@@ -87,12 +104,56 @@ def test_chunk_size_does_not_change_the_stream():
         assert np.array_equal(simulate(cfg, _chunk=chunk).events, ref.events)
 
 
+def test_chunk_seams_at_pair_walk_sizes():
+    # odd and power-of-two chunks, an odd record, and a frame-engine prefix:
+    # photon j's uniforms do not depend on n, so only the last byte of the
+    # shorter record (the final photon) may differ
+    cfg = _cfg(n_photons=(1 << 18) + 4101, seed=11, p_d=0.6, p_sigma=0.02,
+               p_zz=0.03)
+    ref = simulate(cfg, _chunk=4099).events
+    for chunk in (1 << 16, 1 << 18):
+        assert np.array_equal(simulate(cfg, _chunk=chunk).events, ref)
+    frame = simulate(_cfg(n_photons=4200, seed=11, p_d=0.6, p_sigma=0.02,
+                          p_zz=0.03), method="frame").events
+    assert np.array_equal(frame[:-1], ref[:4199])
+
+
 def test_forced_bases_override_detection():
     forced = np.tile(np.array([0, 1, 2], dtype=np.uint8), 400)
     cfg = _cfg(n_photons=1200, seed=5)
     rec = simulate(cfg, forced_bases=forced)
     bases = rec.events >> 1
     assert np.array_equal(bases, forced + 1)
+
+
+@pytest.mark.parametrize("forced", [
+    np.full(30, 1.7),                   # used to run silently as basis Y
+    np.full(30, -1),
+    np.full(30, 3),
+    np.full(30, np.nan),
+    np.ones(30, dtype=bool),
+    np.array(["1"] * 30),
+])
+def test_forced_bases_rejects_non_basis_codes(forced):
+    with pytest.raises(ValueError, match="integers 0 \\(X\\), 1 \\(Y\\) or 2"):
+        simulate(_cfg(n_photons=30), forced_bases=forced)
+
+
+@pytest.mark.parametrize("forced", [np.zeros((30, 2), dtype=np.uint8),
+                                    np.zeros((1, 30), dtype=np.uint8),
+                                    np.zeros(29, dtype=np.uint8),
+                                    np.uint8(0)])
+def test_forced_bases_rejects_wrong_shape(forced):
+    with pytest.raises(ValueError, match="1-D sequence of one basis per photon"):
+        simulate(_cfg(n_photons=30), forced_bases=forced)
+
+
+def test_forced_bases_accepts_integral_values_of_any_numeric_type():
+    want = simulate(_cfg(n_photons=30), forced_bases=[0, 1, 2] * 10).events
+    for forced in (np.tile([0.0, 1.0, 2.0], 10),
+                   np.tile(np.array([0, 1, 2], dtype=np.int64), 10)):
+        got = simulate(_cfg(n_photons=30), forced_bases=forced).events
+        assert np.array_equal(got, want)
 
 
 def test_unknown_method_rejected():

@@ -2,9 +2,14 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from csmg.stream import ExperimentConfig, _scan_chain, _tables, simulate
+from csmg.stream import (_PAIR, ExperimentConfig, _encode_chunk, _scan_chain,
+                         _tables, simulate)
 
 _unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# detection probabilities at the edges of float64: the smallest subnormal,
+# the largest double below 1 and exact powers of two
+_p_d = st.one_of(_unit, st.sampled_from([5e-324, float(np.nextafter(1.0, 0.0))]),
+                 st.integers(1, 1074).map(lambda k: 2.0 ** -k))
 
 
 @st.composite
@@ -15,7 +20,7 @@ def _configs(draw):
     total = sum(q)
     cfg = ExperimentConfig(
         n_photons=n, seed=draw(st.integers(0, 2 ** 32)), burn_in=0,
-        p_d=draw(_unit), q_x=q[0] / total, q_y=q[1] / total,
+        p_d=draw(_p_d), q_x=q[0] / total, q_y=q[1] / total,
         q_z=q[2] / total,
         p_sigma=draw(_unit), p_zz=draw(_unit))
     forced = None
@@ -77,3 +82,52 @@ def test_map_closure_is_the_composition_closure():
             pair[:] = (a, b)
             ab = tables.compose_pairs[pair.view(np.uint16)[0]]
             assert np.array_equal(apply[ab], apply[b][apply[a]])
+
+
+def test_pair_tables_take_two_single_steps():
+    tables = _tables()
+    out = tables.out.reshape(6, 64)
+    nxt = tables.next_state
+    apply = tables.apply.reshape(-1, 8)
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(64), np.arange(64),
+                                           indexing="ij"))
+    # the pair index is the uint16 view of the adjacent code bytes (a, b)
+    steps = np.stack([a, b], axis=1).astype(np.uint8).view(_PAIR).ravel()
+    assert np.array_equal(steps, a | b << 8)
+    states = np.arange(6)[:, None]
+    middle = nxt[states, a]
+    assert np.array_equal(apply[tables.pair_map[steps], :6].T, nxt[middle, b])
+    pair_out = tables.out2[states << 16 | steps]
+    assert np.array_equal(pair_out & 0xFF, out[states, a])
+    assert np.array_equal(pair_out >> 8, out[middle, b])
+    ids = np.arange(apply.shape[0])[:, None]
+    entries = tables.apply_pair[ids << 3 | states.T]
+    assert np.array_equal(entries & 0xFF, np.broadcast_to(states.T, entries.shape))
+    assert np.array_equal(entries >> 8, apply[:, :6])
+
+
+def _neighbours(x, steps=3):
+    """x and the floats up to ``steps`` ulps either side, inside [0, 1)."""
+    below = above = x
+    out = [x]
+    for _ in range(steps):
+        below = np.nextafter(below, 0.0)
+        above = np.nextafter(above, 1.0)
+        out += [below, above]
+    return np.array([u for u in out if 0.0 <= u < 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_p_d, st.floats(5e-324, 1.0)).filter(lambda p: p > 0.0))
+def test_quotient_test_equals_threshold_test_at_float_neighbours(p_d):
+    # the encoder marks a photon lost by u / p_d >= 1.0 instead of u >= p_d
+    u = _neighbours(p_d)
+    lost = u >= p_d
+    assert np.array_equal(np.divide(u, p_d) >= 1.0, lost)
+    cfg = ExperimentConfig(n_photons=1, p_d=p_d)
+    uniforms = np.zeros((u.shape[0], 4))
+    uniforms[:, 2] = u
+    enc = np.empty(u.shape[0], dtype=np.uint8)
+    _encode_chunk(cfg, uniforms, None, enc, np.empty_like(enc),
+                  np.empty(u.shape[0]))
+    assert np.array_equal(enc >> 1 == 3, lost)
