@@ -293,37 +293,55 @@ def _consume_block(acc: _Accumulator, span: int, offsets: np.ndarray,
     """Tally one block's matched window starts, given in increasing order.
 
     Greedy mode keeps the first start at or past ``acc.greedy_next``, then
-    repeatedly the first start at or past the last kept one plus ``span``.
-    That is the orbit of one index under the successor map
-    ``jump[i] = first j with offsets[j] >= offsets[i] + span``, which
-    pointer doubling (Wyllie 1979) collects in O(log k) vector rounds:
-    while the kept set holds the first 2**r orbit steps and ``jump`` is
-    the map applied 2**r times, one round adds ``jump`` of the kept set
-    and squares ``jump``.  Index k is a sentinel that maps to itself.
-    ``acc.greedy_next`` carries the block's last kept start plus ``span``
-    into the next block.
+    repeatedly the first start at or past the last kept one plus ``span``:
+    the orbit of that first start under the successor map ``jump[i] =
+    first j with offsets[j] >= offsets[i] + span``.  That first start, and
+    every start at least ``span`` past the start before it, is always
+    kept, since the last kept start before it is at or before that
+    predecessor.  Between two always-kept starts lies a run of close
+    starts; the orbit through a run leaves from the always-kept start
+    before it, the run's seed, and cannot jump past the one after it.
+    Pointer doubling (Wyllie 1979) walks every run's orbit at once, in
+    O(log r) vector rounds for a longest run of r starts: while the kept
+    set holds the first 2**m steps of each orbit and ``jump`` is the map
+    applied 2**m times, one round adds ``jump`` of the kept set and
+    squares ``jump``.  A jump out of its run goes to a sentinel that maps
+    to itself.  ``acc.greedy_next`` carries the block's last kept start
+    plus ``span`` into the next block.
     """
     if offsets.shape[0] == 0:
         return
     if mode == "greedy":
         i0 = int(np.searchsorted(offsets, acc.greedy_next, side="left"))
+        offsets, parities = offsets[i0:], parities[i0:]
         k = offsets.shape[0]
-        if i0 == k:
+        if k == 0:
             return
-        jump = np.empty(k + 1, dtype=np.intp)
-        jump[:k] = np.searchsorted(offsets, offsets + span, side="left")
-        jump[k] = k
-        keep = np.zeros(k + 1, dtype=bool)
-        keep[i0] = True
-        while jump[i0] != k:
-            keep[jump[keep]] = True
-            jump = jump[jump]
-        kept = np.flatnonzero(keep[:k])
-        acc.count += int(kept.shape[0])
-        acc.parity += int(parities[kept].sum(dtype=np.int64))
+        # close[i]: start i lies within span of start i - 1 (never i = 0, k)
+        close = np.zeros(k + 1, dtype=bool)
+        np.less(np.diff(offsets), span, out=close[1:k])
+        keep = ~close[:k]
+        run = np.flatnonzero(close[:k] | close[1:])
+        if run.shape[0]:
+            # a run's starts are consecutive in ``run`` as in ``offsets``,
+            # so a jump within a run moves both indices by the same step
+            c = run.shape[0]
+            to = np.searchsorted(offsets, offsets[run] + span, side="left")
+            jump = np.empty(c + 1, dtype=np.intp)
+            jump[:c] = np.where(close[to], np.arange(c) + (to - run), c)
+            jump[c] = c
+            seeds = np.flatnonzero(~close[run])
+            hit = np.zeros(c + 1, dtype=bool)
+            hit[seeds] = True
+            while (jump[seeds] != c).any():
+                hit[jump[hit]] = True
+                jump = jump[jump]
+            keep[run[hit[:c]]] = True
+        acc.count += int(np.count_nonzero(keep))
+        acc.parity += int(parities[keep].sum(dtype=np.int64))
         if acc.first_o is None:
-            acc.first_o = int(offsets[kept[0]])
-        acc.last_o = int(offsets[kept[-1]])
+            acc.first_o = int(offsets[0])
+        acc.last_o = int(offsets[k - 1 - int(np.argmax(keep[::-1]))])
         acc.greedy_next = acc.last_o + span
         return
     acc.count += int(offsets.shape[0])
@@ -429,9 +447,10 @@ def _scan_range(events: np.ndarray, templates: Sequence[Template],
                     idx = cur[:np.searchsorted(cur, limit)]
                 if stride > 1:
                     idx = idx[(idx + (s0 - anchor)) % stride == 0]
-                # the low bit of the XOR of the bytes is the XOR of their signs
-                window = block[idx[:, None] + positions[t]]
-                parities = np.bitwise_xor.reduce(window, axis=1) & 1
+                # the low bit of the XOR of the bytes is the XOR of their
+                # signs; gathered slot-major, the XOR runs along the matches
+                window = block[positions[t][:, None] + idx]
+                parities = np.bitwise_xor.reduce(window, axis=0) & 1
                 _consume_block(accs[t], spans[t], s0 + idx, parities, mode)
             for key, child in node.children.items():
                 stack.append((key, child, cur))

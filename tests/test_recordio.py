@@ -23,6 +23,7 @@ from csmg.recordio import (
 )
 
 VALID_BYTES = [0x00, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07]
+_PIECE = 1 << 20  # validation works through the payload 1 MiB at a time
 
 
 def test_event_codec_covers_all_valid_bytes():
@@ -51,6 +52,45 @@ def test_validate_rejects_reserved_and_oversized_bytes():
             validate_events(events)
         assert err.value.offset == HEADER_SIZE + where
         assert f"0x{bad:02X}" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [0x01, 0x08, 0xFF])
+def test_validate_reports_bad_byte_at_piece_edges(bad):
+    # two full 1 MiB pieces and a short last one
+    n = 2 * _PIECE + 100
+    for where in (0, _PIECE - 1, _PIECE, 2 * _PIECE - 1, 2 * _PIECE,
+                  2 * _PIECE + 50, n - 1):
+        events = np.full(n, 0x06, dtype=np.uint8)
+        events[where] = bad
+        with pytest.raises(RecordFormatError) as err:
+            validate_events(events)
+        assert err.value.offset == HEADER_SIZE + where
+        assert str(err.value) == (f"invalid event byte 0x{bad:02X} "
+                                  f"(byte offset {HEADER_SIZE + where})")
+
+
+def test_validate_reports_first_bad_byte_of_a_piece():
+    events = np.full(_PIECE + 10, 0x07, dtype=np.uint8)
+    events[[5, 9, _PIECE + 3]] = [0xFF, 0x01, 0x08]
+    with pytest.raises(RecordFormatError) as err:
+        validate_events(events, base_offset=0)
+    assert (err.value.offset, str(err.value)) == (
+        5, "invalid event byte 0xFF (byte offset 5)")
+    events[5] = 0x00
+    with pytest.raises(RecordFormatError) as err:
+        validate_events(events, base_offset=0)
+    assert err.value.offset == 9
+
+
+def test_validate_accepts_every_valid_byte_across_pieces(tmp_path):
+    rng = np.random.default_rng(9)
+    events = rng.choice(np.array(VALID_BYTES, dtype=np.uint8),
+                        size=2 * _PIECE + 100)
+    events[-7:] = VALID_BYTES
+    validate_events(events)
+    path = tmp_path / "valid.csmg"
+    write_record(path, ClickRecord(events=events, burn_in=0))
+    assert np.array_equal(open_record(path).events, events)
 
 
 def test_record_roundtrip_through_buffer(tmp_path):
@@ -147,7 +187,21 @@ def test_write_record_makes_no_record_sized_temporaries(tmp_path):
     assert hashlib.sha256(blob[HEADER_SIZE:]).digest() == hashlib.sha256(events).digest()
 
 
-_PIECE = 1 << 20  # validation works through the payload 1 MiB at a time
+def test_lost_fraction_makes_no_record_sized_temporary():
+    n = 1 << 24  # 16 MiB
+    events = np.full(n, 0x06, dtype=np.uint8)
+    events[::3] = EVENT_LOST
+    record = ClickRecord(events=events, burn_in=0)
+    tracemalloc.start()
+    try:
+        lost = record.lost_fraction()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 2
+    assert lost == np.count_nonzero(events == EVENT_LOST) / n
+
+
 _LENGTHS = st.one_of(st.integers(0, 300),
                      st.integers(_PIECE - 4, _PIECE + 300),
                      st.integers(2 * _PIECE - 4, 2 * _PIECE + 4))

@@ -25,6 +25,8 @@ from csmg.templates import (
     verify_template_algebra,
     verify_template_stream,
     zz_flip_pair_count,
+    _Accumulator,
+    _consume_block,
     _trie,
 )
 from csmg.analysis import instance_probability
@@ -576,3 +578,101 @@ def test_greedy_matches_per_match_loop(case):
                    burn_in=burn_in, chunk_size=chunk)[0]
         assert (est.match_count, est.signed_sum) == want, chunk
         assert est.overlap_fraction == 0.0
+
+
+# ---------------------------------------------------------------------------
+# One block of greedy selection against a per-match loop.
+
+
+def _consume_by_loop(acc, span, offsets, parities):
+    for o, p in zip(offsets.tolist(), parities.tolist()):
+        if o < acc.greedy_next:
+            continue
+        acc.count += 1
+        acc.parity += p
+        if acc.first_o is None:
+            acc.first_o = o
+        acc.last_o = o
+        acc.greedy_next = o + span
+
+
+def _block_offsets(rng, span, runs, start):
+    """Sorted starts: before each entry of ``runs``, one start ``span`` or
+    more past the one before it, then that many starts each closer than
+    ``span`` to the one before."""
+    gaps = []
+    for length in runs:
+        gaps.append(int(rng.integers(span, 3 * span + 1)))
+        gaps += rng.integers(1, max(span, 2), size=length).tolist()
+    return start + np.cumsum(np.array(gaps, dtype=np.int64)) - gaps[0]
+
+
+@st.composite
+def _greedy_blocks(draw):
+    span = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    shape = draw(st.sampled_from(["runs", "one run", "no close start"]))
+    if shape == "one run":
+        runs = [draw(st.integers(1, 300))]
+    elif shape == "no close start":
+        runs = [0] * draw(st.integers(1, 40))
+    else:
+        runs = draw(st.lists(st.one_of(st.integers(0, 4),
+                                       st.integers(5, 70)),
+                             min_size=1, max_size=12))
+    offsets = _block_offsets(rng, span, runs, draw(st.integers(0, 50)))
+    if shape == "one run":
+        # the run's starts only: every start is close to the one before
+        offsets = offsets[1:]
+    parities = rng.integers(0, 2, size=offsets.shape[0]).astype(np.uint8)
+    # before the block, on or just past any start, inside a run or at its
+    # seed, or past the block's last start
+    i = draw(st.integers(0, offsets.shape[0] - 1))
+    greedy_next = draw(st.sampled_from([
+        0, int(offsets[0]) - 1, int(offsets[i]), int(offsets[i]) + 1,
+        int(offsets[-1]) + 1]))
+    greedy_next = max(greedy_next, 0)
+    earlier = draw(st.sampled_from([None, greedy_next - span]))
+    if earlier is not None and earlier < 0:
+        earlier = None
+    return span, offsets, parities, greedy_next, earlier
+
+
+def _greedy_accumulators(span, offsets, parities, greedy_next, earlier):
+    got, want = _Accumulator(greedy_next), _Accumulator(greedy_next)
+    if earlier is not None:
+        # a start kept in an earlier block
+        for acc in (got, want):
+            acc.count, acc.parity = 5, 2
+            acc.first_o = acc.last_o = earlier
+    _consume_block(got, span, offsets, parities, "greedy")
+    _consume_by_loop(want, span, offsets, parities)
+    return got, want
+
+
+def _assert_same_greedy(got, want):
+    assert (got.count, got.parity, got.first_o, got.last_o,
+            got.greedy_next, got.overlaps) == \
+        (want.count, want.parity, want.first_o, want.last_o,
+         want.greedy_next, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_greedy_blocks())
+def test_consume_block_greedy_matches_per_match_loop(case):
+    _assert_same_greedy(*_greedy_accumulators(*case))
+
+
+def test_consume_block_greedy_over_one_run_of_every_length():
+    # a block that is one run of close starts, of every length up to a
+    # few doubling rounds, entered at its first start, inside it and
+    # past it
+    rng = np.random.default_rng(12)
+    for span in (2, 5, 11):
+        for length in range(0, 140):
+            offsets = _block_offsets(rng, span, [length], 7)
+            parities = rng.integers(0, 2, size=length + 1).astype(np.uint8)
+            for greedy_next in (0, 7, int(offsets[length // 2]) + 1,
+                                int(offsets[-1]) + 1):
+                _assert_same_greedy(*_greedy_accumulators(
+                    span, offsets, parities, greedy_next, None))
