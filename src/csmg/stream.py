@@ -23,15 +23,24 @@ quadruples, so a (config, seed) pair yields a bit-identical record
 whether it runs through the compiled transition tables or the reference
 stabilizer frame, on any host, with any chunk size.
 
-The table path works a chunk at a time.  It encodes each photon's
-decisions into a 6-bit step code, then walks the frontier chain as a
-prefix scan: every code acts on the six frontier states as a map, the 64
-maps close under composition into 66, and composing them pairwise over a
-chunk yields every photon's entry state in O(log chunk) numpy calls.
-The scan reads two adjacent bytes as one uint16, so each gather covers
-two photons or two blocks: one lookup gives a photon pair's map, one
-hands two sibling blocks their entry states, and one writes a pair's two
-event bytes.
+The table path works a chunk (2^17 photons) at a time.  It draws the
+chunk's uniforms in sub-blocks of 2^14 photons into one reused (k, 4)
+buffer and, while that is still in cache, transposes it into four
+contiguous columns, so every decision is a contiguous compare on one
+column.  Each photon's decisions become a 6-bit step code.  The basis
+and loss decision is ``(u >= t_x) + (u >= t_xy) + (u >= p_d)``, with
+thresholds found once per run as the smallest doubles whose quotient by
+p_d reaches q_x and q_x + q_y: correctly rounded division is monotone,
+so this equals the reference path's ``u / p_d`` tests exactly.  The
+chunk's codes then drive the frontier chain as a prefix scan: every code
+acts on the six frontier states as a map, the 64 maps close under
+composition into 66, and composing them pairwise over a chunk yields
+every photon's entry state in O(log chunk) numpy calls; the last few
+levels, 64 blocks or fewer, are resolved in one short Python loop.  The
+scan reads two adjacent bytes as one uint16, so each gather covers two
+photons or two blocks: one lookup gives a photon pair's map, one hands
+two sibling blocks their entry states, and one writes a pair's two event
+bytes.
 """
 from __future__ import annotations
 
@@ -45,7 +54,8 @@ import numpy as np
 from .pauli import PauliString, StabilizerFrame
 from .recordio import EVENT_LOST, ClickRecord, as_int, encode_event
 
-_CHUNK = 1 << 16  # keeps a chunk's scan working set in cache
+_CHUNK = 1 << 17  # keeps a chunk's codes and scan tree in cache
+_SUB = 1 << 14    # a sub-block's (k, 4) uniforms (512 KiB) stay in L2
 _AXES = "XYZ"
 # fin codes: 0 = detect X, 1 = detect Y, 2 = detect Z, 3 = lost
 FIN_LOST = 3
@@ -99,8 +109,9 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------------------
 # Shared uniform -> decision helpers.  The scalar and vector versions must
-# apply identical floating-point expressions; the reference and table paths
-# both rely on that for bit-identical records.
+# make identical decisions for every double: the sigma pick uses the same
+# expression, the basis pick exact thresholds in place of the quotient.
+# The reference and table paths both rely on that for bit-identical records.
 
 def _sigma_choice(u: float, p_sigma: float) -> int:
     """0 = no error, 1/2/3 = X/Y/Z, reusing the firing uniform for the pick."""
@@ -116,42 +127,72 @@ def _fin_choice(u: float, p_d: float, q_x: float, q_xy: float) -> int:
     return int(v >= q_x) + int(v >= q_xy)
 
 
-def _encode_chunk(cfg: ExperimentConfig, uniforms: np.ndarray,
-                  forced: Optional[np.ndarray], enc: np.ndarray,
-                  scratch: np.ndarray, v: np.ndarray) -> None:
-    """Write each photon's own decisions as ``sp*16 + fin*2 + coin`` into enc.
+def _cut(q: float, p_d: float) -> float:
+    """The smallest double t in [0, p_d) with t / p_d >= q, else p_d.
 
-    The vector form of ``_sigma_choice`` / ``_fin_choice`` plus the coin;
-    the pair-error bit (8) belongs to the step that finalizes the photon,
-    so the caller adds it one slot later.  ``scratch`` (uint8) and ``v``
-    (float64) are work buffers of the same length as ``enc``.
+    Correctly rounded division is monotone in t, so for 0 <= u < p_d the
+    test ``u >= _cut(q, p_d)`` is exactly ``u / p_d >= q``.  The
+    non-negative doubles are ordered like their bit patterns, so the
+    search bisects over those.
     """
+    lo, hi = 0, int(np.float64(p_d).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if float(np.int64(mid).view(np.float64)) / p_d >= q:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(np.int64(lo).view(np.float64))
+
+
+def _fin_cuts(cfg: ExperimentConfig) -> Tuple[float, float, float]:
+    """Thresholds (t_x, t_xy, p_d) with fin = #{t <= u} equal to _fin_choice.
+
+    ``t_x <= t_xy <= p_d``, so a lost photon (u >= p_d) passes all three
+    and gets fin 3 even when q_x + q_y rounds above 1.
+    """
+    if cfg.p_d <= 0.0:
+        return 0.0, 0.0, 0.0
+    t_x = _cut(cfg.q_x, cfg.p_d)
+    return t_x, max(t_x, _cut(cfg.q_x + cfg.q_y, cfg.p_d)), cfg.p_d
+
+
+def _encode_block(cfg: ExperimentConfig, cuts: Tuple[float, float, float],
+                  cols: np.ndarray, forced: Optional[np.ndarray],
+                  codes: np.ndarray, scratch: np.ndarray) -> None:
+    """Encode the photons whose four uniforms are the columns of ``cols``.
+
+    ``cols`` is (4, k) with contiguous rows.  Photon i's own decisions go to
+    ``codes[i + 1]`` as ``sp*16 + fin*2 + coin``: the vector form of
+    ``_sigma_choice`` and of ``_fin_choice`` through ``cuts``, plus the
+    coin.  The step that emits photon i finalizes photon i - 1, so its
+    pair-error bit (8 * zz) is added to ``codes[i]``; ``codes[0]`` holds
+    the photon before the block.  ``scratch`` is a uint8 buffer of length k.
+    """
+    enc = codes[1:]
+    flag = scratch.view(np.bool_)  # a compare writes bools without a cast
     if forced is not None:
         np.add(forced, forced, out=enc)
-    elif cfg.p_d > 0.0:
-        u = uniforms[:, 2]
-        with np.errstate(over="ignore"):  # inf for a tiny p_d: lost below
-            np.divide(u, cfg.p_d, out=v)
-        np.greater_equal(v, cfg.q_x, out=enc)
-        np.greater_equal(v, cfg.q_x + cfg.q_y, out=scratch)
-        enc += scratch
-        # u >= p_d exactly when u / p_d >= 1.0: for u < p_d the correctly
-        # rounded quotient is at most 1 - 2^-53, so it cannot reach 1
-        np.greater_equal(v, 1.0, out=scratch)
-        scratch *= FIN_LOST   # basis | 3 == 3: a lost photon overrides it
-        enc |= scratch
-        enc += enc  # fin * 2; numpy's uint8 shifts are not vectorised
     else:
-        enc.fill(FIN_LOST * 2)
-    np.greater_equal(uniforms[:, 3], 0.5, out=scratch)
+        u = cols[2]
+        np.greater_equal(u, cuts[0], out=enc.view(np.bool_))
+        for cut in cuts[1:]:
+            np.greater_equal(u, cut, out=flag)
+            enc += scratch
+        enc += enc  # fin * 2; numpy's uint8 shifts are not vectorised
+    np.greater_equal(cols[3], 0.5, out=flag)
     enc += scratch
     if cfg.p_sigma > 0.0:
-        fired = np.flatnonzero(uniforms[:, 0] < cfg.p_sigma)
-        which = np.minimum(uniforms[fired, 0] * (3.0 / cfg.p_sigma),
-                           2.0).astype(np.uint8)
+        u = cols[0]
+        fired = np.flatnonzero(u < cfg.p_sigma)
+        which = np.minimum(u[fired] * (3.0 / cfg.p_sigma), 2.0).astype(np.uint8)
         which += 1
         which <<= 4
         enc[fired] += which
+    if cfg.p_zz > 0.0:
+        np.less(cols[1], cfg.p_zz, out=flag)
+        scratch *= 8
+        codes[:-1] += scratch
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +367,13 @@ def _tables() -> _ChainTables:
 # maps pairwise, a down-sweep hands each pair its entry state, and one
 # gather through the pair output table writes both event bytes.  Every
 # level reads and writes two bytes per element as one uint16, so each
-# gather covers two blocks and no level needs a strided slice.
+# gather covers two blocks and no level needs a strided slice.  The
+# up-sweep stops at a level of at most _TOP blocks, whose entry states a
+# short Python loop resolves in order; below that size a numpy call per
+# level costs more than the loop.
+
+_TOP = 64
+
 
 def _scan_chain(codes: np.ndarray, out: np.ndarray, state: int,
                 tables: _ChainTables, tree: np.ndarray) -> int:
@@ -348,16 +395,20 @@ def _scan_chain(codes: np.ndarray, out: np.ndarray, state: int,
         level[half:] = 0  # identity maps pad the scan to a power of two
         levels = [level]
         pos = size
-        while size > 1:  # up-sweep: each level holds blocks twice as long
+        while size > _TOP:  # up-sweep: each level holds blocks twice as long
             size >>= 1
             parent = tree[pos:pos + size]
             tables.compose_pairs.take(level.view(_PAIR), out=parent, mode="clip")
             levels.append(parent)
             pos += size
             level = parent
+        apply = tables.apply.tolist()
+        entries = level.tolist()
+        for i, block in enumerate(entries):  # overwrite each map id
+            entries[i] = state               # with its block's entry state
+            state = apply[(block << 3) | state]
+        level[:] = entries
         entry = level
-        end = int(tables.apply[(int(entry[0]) << 3) | state])
-        entry[0] = state
         for level in reversed(levels[:-1]):  # down-sweep: overwrite each
             blocks = level.view(_PAIR)       # (left, right) with their entries
             index = blocks & 0xFF
@@ -369,7 +420,6 @@ def _scan_chain(codes: np.ndarray, out: np.ndarray, state: int,
         index <<= 16
         index |= steps
         tables.out2.take(index, out=out[:2 * half].view(_PAIR), mode="clip")
-        state = end
     if n & 1:
         code = int(codes[n - 1])
         out[n - 1] = tables.out[(state << 6) | code]
@@ -393,32 +443,40 @@ def _normalize_forced(forced_bases, n: int) -> Optional[np.ndarray]:
 def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
                     chunk: int) -> np.ndarray:
     tables = _tables()
+    cuts = _fin_cuts(cfg)
     n = cfg.n_photons
     rng = np.random.default_rng(cfg.seed)
     events = np.empty(n, dtype=np.uint8)
     width = min(chunk, n)
-    uniforms = np.empty((width, 4))
+    sub = min(_SUB, width)
+    rows = np.empty((sub, 4))
+    cols = np.empty((4, sub))
+    scratch = np.empty(sub, dtype=np.uint8)
     # codes[t] encodes photon start + t - 1; codes[0] carries the previous
-    # chunk's last photon.  The step that emits photon start + t finalizes
-    # that one, so it also takes that step's pair-error bit (8 * zz).
-    codes = np.empty(width + 1, dtype=np.uint8)
-    scratch = np.empty(width, dtype=np.uint8)
-    ratio = np.empty(width)
+    # chunk's last photon.  It takes one single step, so the scan starts at
+    # codes[1] and events[start], both at even addresses for an even chunk:
+    # a pair write to an odd address goes through a temporary.  At start 0,
+    # codes[0] holds no photon; it takes photon 0's unused pair-error bit.
+    codes = np.empty(width + 2, dtype=np.uint8)[1:]
     tree = np.empty(1 << (width - 1).bit_length(), dtype=np.uint8)
     state = tables.init
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        u = rng.random(out=uniforms[:m])
-        _encode_chunk(cfg, u, None if forced is None else forced[start:start + m],
-                      codes[1:m + 1], scratch[:m], ratio[:m])
-        first = 1 if start == 0 else 0  # photon 0 finalizes no predecessor
-        if cfg.p_zz > 0.0:
-            zz = scratch[first:m]
-            np.less(u[first:, 1], cfg.p_zz, out=zz)
-            zz *= 8
-            codes[first:m] += zz
-        if m > first:
-            state = _scan_chain(codes[first:m], events[start + first - 1:start + m - 1],
+        for off in range(0, m, sub):
+            k = min(sub, m - off)
+            # one generator draws in photon order; the transpose reads the
+            # block while it is still in cache
+            rng.random(out=rows[:k])
+            np.copyto(cols[:, :k], rows[:k].T)
+            _encode_block(cfg, cuts, cols[:, :k],
+                          None if forced is None else forced[start + off:start + off + k],
+                          codes[off:off + k + 1], scratch[:k])
+        if start:  # photon 0 finalizes no predecessor
+            code = int(codes[0])
+            events[start - 1] = tables.out[(state << 6) | code]
+            state = int(tables.next_state[state, code])
+        if m > 1:
+            state = _scan_chain(codes[1:m], events[start:start + m - 1],
                                 state, tables, tree)
         codes[0] = codes[m]
     events[n - 1] = tables.final[state, codes[0]]

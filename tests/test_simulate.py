@@ -118,6 +118,27 @@ def test_chunk_seams_at_pair_walk_sizes():
     assert np.array_equal(frame[:-1], ref[:4199])
 
 
+def test_chunk_seams_at_sub_block_edges():
+    # chunks that end just before, just after and on the 2^14-photon draw
+    # sub-blocks, the default 2^17 chunk, and a record that ends 3 photons
+    # into a sub-block; fired Paulis and pair errors at every edge
+    n = (1 << 17) + (1 << 14) + 3
+    # (seed 73 is one that puts both on every edge listed)
+    kw = dict(seed=73, p_d=0.7, q_x=0.3, q_y=0.3, q_z=0.4, p_sigma=0.6,
+              p_zz=0.6)
+    cfg = _cfg(n_photons=n, **kw)
+    u = np.random.default_rng(73).random((n, 4))
+    edges = [0, 1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 << 14,
+             (3 << 14) + 5, 1 << 17, (1 << 17) + 1, n - 1]
+    assert np.all(u[edges, :2] < 0.6)
+    ref = simulate(cfg, _chunk=4099).events
+    for chunk in ((1 << 14) - 1, (3 << 14) + 5, 1 << 17):
+        assert np.array_equal(simulate(cfg, _chunk=chunk).events, ref)
+    m = (1 << 14) + 2
+    frame = simulate(_cfg(n_photons=m, **kw), method="frame").events
+    assert np.array_equal(frame[:-1], ref[:m - 1])
+
+
 def test_forced_bases_override_detection():
     forced = np.tile(np.array([0, 1, 2], dtype=np.uint8), 400)
     cfg = _cfg(n_photons=1200, seed=5)

@@ -2,8 +2,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from csmg.stream import (_PAIR, ExperimentConfig, _encode_chunk, _scan_chain,
-                         _tables, simulate)
+from csmg.stream import (_PAIR, ExperimentConfig, _encode_block, _fin_choice,
+                         _fin_cuts, _scan_chain, _tables, simulate)
 
 _unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 # detection probabilities at the edges of float64: the smallest subnormal,
@@ -117,17 +117,32 @@ def _neighbours(x, steps=3):
     return np.array([u for u in out if 0.0 <= u < 1.0])
 
 
+# basis weights: a generated split, q_z = 0, and sums 1 -+ 1e-9 with q_z = 0,
+# where q_x + q_y rounds above 1 and the clamp t_xy <= p_d decides
+_q = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+    .filter(lambda w: sum(w) > 0.0).map(lambda w: [x / sum(w) for x in w]),
+    st.floats(0.0, 1.0).map(lambda x: [x, 1.0 - x, 0.0]),
+    st.tuples(st.floats(0.0, 1.0), st.sampled_from([-0.9e-9, 0.9e-9]))
+    .map(lambda c: [c[0], 1.0 - c[0] + c[1], 0.0]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_p_d, st.floats(5e-324, 1.0)).filter(lambda p: p > 0.0))
-def test_quotient_test_equals_threshold_test_at_float_neighbours(p_d):
-    # the encoder marks a photon lost by u / p_d >= 1.0 instead of u >= p_d
-    u = _neighbours(p_d)
+@given(st.one_of(_p_d, st.floats(5e-324, 1.0)).filter(lambda p: p > 0.0), _q)
+def test_quotient_test_equals_threshold_test_at_float_neighbours(p_d, q):
+    # the scalar path decides by u / p_d against q_x and q_x + q_y, the
+    # encoder by u against the thresholds of _fin_cuts
+    cfg = ExperimentConfig(n_photons=1, p_d=p_d, q_x=q[0], q_y=q[1], q_z=q[2])
+    cuts = _fin_cuts(cfg)
+    assert cuts[0] <= cuts[1] <= cuts[2] == p_d
+    u = np.unique(np.concatenate([_neighbours(c) for c in cuts]))
     lost = u >= p_d
     assert np.array_equal(np.divide(u, p_d) >= 1.0, lost)
-    cfg = ExperimentConfig(n_photons=1, p_d=p_d)
-    uniforms = np.zeros((u.shape[0], 4))
-    uniforms[:, 2] = u
-    enc = np.empty(u.shape[0], dtype=np.uint8)
-    _encode_chunk(cfg, uniforms, None, enc, np.empty_like(enc),
-                  np.empty(u.shape[0]))
-    assert np.array_equal(enc >> 1 == 3, lost)
+    cols = np.zeros((4, u.shape[0]))
+    cols[2] = u
+    codes = np.zeros(u.shape[0] + 1, dtype=np.uint8)
+    _encode_block(cfg, cuts, cols, None, codes, np.empty_like(codes[1:]))
+    fin = codes[1:] >> 1
+    assert np.array_equal(fin == 3, lost)
+    q_xy = cfg.q_x + cfg.q_y
+    assert fin.tolist() == [_fin_choice(x, p_d, cfg.q_x, q_xy) for x in u.tolist()]
