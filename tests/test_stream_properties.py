@@ -117,6 +117,15 @@ def _neighbours(x, steps=3):
     return np.array([u for u in out if 0.0 <= u < 1.0])
 
 
+def _off_by(c):
+    """Two q weights summing to 1 + d; d goes to q_x when q_y = 1 - q_x
+    + d would be negative, which the config rejects."""
+    x, d = c
+    if 1.0 - x + d < 0.0:
+        return [x + d, 1.0 - x, 0.0]
+    return [x, 1.0 - x + d, 0.0]
+
+
 # basis weights: a generated split, q_z = 0, and sums 1 -+ 1e-9 with q_z = 0,
 # where q_x + q_y rounds above 1 and the clamp t_xy <= p_d decides
 _q = st.one_of(
@@ -124,7 +133,7 @@ _q = st.one_of(
     .filter(lambda w: sum(w) > 0.0).map(lambda w: [x / sum(w) for x in w]),
     st.floats(0.0, 1.0).map(lambda x: [x, 1.0 - x, 0.0]),
     st.tuples(st.floats(0.0, 1.0), st.sampled_from([-0.9e-9, 0.9e-9]))
-    .map(lambda c: [c[0], 1.0 - c[0] + c[1], 0.0]))
+    .map(_off_by))
 
 
 @settings(max_examples=200, deadline=None)

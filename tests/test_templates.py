@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import csmg.templates as templates_module
+from csmg.config import RunConfig
 from csmg.pauli import PauliString
 from csmg.recordio import EVENT_LOST, ClickRecord
 from csmg.stream import ExperimentConfig, simulate
@@ -513,6 +515,124 @@ def test_scan_matches_reference_per_template(case):
 @given(_scan_calls(_patterned_templates()))
 def test_scan_matches_reference_on_arbitrary_patterns(case):
     _check_against_reference(case)
+
+
+# ---------------------------------------------------------------------------
+# Trie subtrees that no window start reaches.
+
+
+def test_scan_ends_subtrees_that_keep_no_start(monkeypatch):
+    # at p_d 0.5 no window start of a block reaches most of the l <= 50
+    # grid's trie, so the walk must stop there: no template is handed an
+    # empty block, and Gamma1(50), which never matches, is never handed one
+    cfg = ExperimentConfig(n_photons=200_000, seed=5, p_d=0.5, q_x=0.2,
+                           q_y=0.6, q_z=0.2, p_sigma=0.002, p_zz=0.01)
+    record = simulate(cfg)
+    templates = RunConfig(l_max=50).templates()
+    calls = []
+
+    def spy(acc, span, offsets, parities, mode):
+        calls.append((span, offsets.shape[0]))
+        _consume_block(acc, span, offsets, parities, mode)
+
+    monkeypatch.setattr(templates_module, "_consume_block", spy)
+    got = scan(record, templates, chunk_size=1 << 14)
+    assert [c for c in calls if c[1] == 0] == []
+    assert make_gamma1(50).span == 52
+    assert [c for c in calls if c[0] == 52] == []
+    assert sum(n for _, n in calls) == sum(e.match_count for e in got) > 0
+    assert got[templates.index(make_gamma1(50))].match_count == 0
+
+
+@st.composite
+def _planted_calls(draw):
+    # a long Gamma template's pattern, or a prefix of it, planted only
+    # here and there in a background that rarely matches one, so a
+    # small block may find a trie node alive and the next one dead; the
+    # prefix template ends at an inner node of the long template's path,
+    # so a block can keep its starts while the node's child keeps none
+    family = draw(st.sampled_from(["Gamma1", "Gamma2"]))
+    l = draw(st.sampled_from([11, 14, 20]))
+    long = make_template(family, l)
+    cut = draw(st.integers(2, long.span - 1))
+    prefix = Template(TemplateFamily.GAMMA1, 2, long.slots[:cut], (0, 0))
+    others = draw(st.lists(st.tuples(
+        st.sampled_from(["Gamma1", "Gamma2"]),
+        st.sampled_from([2, 5, 8, l - 3, l + 3])), max_size=3, unique=True))
+    templates = [long, prefix] + [make_template(f, m) for f, m in others
+                                  if (f, m) != (family, l)]
+    templates = draw(st.permutations(templates))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    # a gap of -1 makes the window share its opening Z with the closing Z
+    # of the window before it
+    plants = draw(st.lists(st.tuples(st.sampled_from([long, prefix, None]),
+                                     st.integers(-1, 40)),
+                           min_size=1, max_size=6))
+    pieces = [rng.choice(_VALID_BYTES, size=draw(st.integers(0, 30)))]
+    for template, gap in plants:
+        if gap < 0 and pieces[-1].shape[0]:
+            pieces[-1] = pieces[-1][:-1]
+        else:
+            pieces.append(rng.choice(_VALID_BYTES, size=max(gap, 0)))
+        if template is not None:
+            pieces.append(_events_near(rng, template.slots, template.span,
+                                       0.0))
+    pieces.append(rng.choice(_VALID_BYTES, size=draw(st.integers(0, 30))))
+    events = np.concatenate(pieces)
+    kwargs = dict(
+        mode=draw(st.sampled_from(["all", "greedy"])),
+        stride=draw(st.integers(1, 4)),
+        burn_in=draw(st.integers(0, 12)),
+        chunk_size=draw(st.integers(0, 60).map(lambda k: 2 * k + 1)),
+        threads=draw(st.sampled_from([1, 2, 3])))
+    return events, templates, kwargs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_calls())
+def test_scan_matches_reference_where_subtrees_die(case):
+    _check_against_reference(case)
+
+
+def _tiled_windows(template, count, lead, tail):
+    """``count`` windows of ``template``, each sharing its opening Z with
+    the closing Z of the one before, with free slots detected in X, after
+    ``lead`` and before ``tail`` lost photons."""
+    window = np.array([c if c != SLOT_FREE else SLOT_X
+                       for c in template.slots], dtype=np.uint8) << 1
+    body = np.concatenate([window[:-1]] * count + [window[-1:]])
+    lost = np.full(lead + tail, EVENT_LOST, dtype=np.uint8)
+    return np.concatenate([lost[:lead], body, lost[lead:]])
+
+
+@pytest.mark.parametrize("chunk_size", [1, 3, 5, 7, 19])
+def test_greedy_carry_crosses_blocks_whose_subtree_was_ended(chunk_size):
+    # blocks inside the first window hold no start of a second one, so
+    # the walk ends there, yet the first window's greedy carry still
+    # skips the window that overlaps it by its closing Z
+    long = make_gamma1(20)
+    events = _tiled_windows(long, 3, 7, 10)
+    want = [(7, 7 + 21, 7 + 42), (7, 7 + 42)]
+    for mode, starts in zip(("all", "greedy"), want):
+        assert reference_scan(events, long, mode=mode)[2] == list(starts)
+        _check_against_reference((events, [long, make_gamma2(5)], dict(
+            mode=mode, stride=1, burn_in=0, chunk_size=chunk_size,
+            threads=1)))
+
+
+@pytest.mark.parametrize("chunk_size", [3, 9, 25])
+def test_dense_node_without_survivors_in_the_padded_last_block(chunk_size):
+    # the lost tail leaves the last, padded blocks with no start whose
+    # first photon is a Z: the root's child is a dense mask of zeros there
+    long = make_gamma2(14)
+    events = _tiled_windows(long, 2, 0, 40)
+    templates = [long, make_gamma1(2)]
+    for mode in ("all", "greedy"):
+        for threads in (1, 2):
+            _check_against_reference((events, templates, dict(
+                mode=mode, stride=1, burn_in=0, chunk_size=chunk_size,
+                threads=threads)))
+    assert scan(events, [long], chunk_size=chunk_size)[0].match_count == 2
 
 
 # ---------------------------------------------------------------------------
