@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,15 +24,30 @@ _THIRD = 1.0 / 3.0
 FamilyLike = Union[TemplateFamily, str]
 
 
-def _family(family: FamilyLike) -> TemplateFamily:
-    if isinstance(family, TemplateFamily):
-        return family
-    return TemplateFamily(family)
-
-
 def _check_probability(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _last_on_grid(holds: Callable[[int], bool],
+                  l_cap: Optional[int] = None) -> int:
+    """Largest l = 2 (mod 3), at most l_cap, at which holds(l) is true.
+
+    holds must be true up to some l and false beyond it, as a bar on a
+    quantity that falls with l is.  Gallops up from l = 2, then bisects,
+    so holds is called O(log l) times.  0 when holds(2) is false.
+    """
+    k_cap = math.inf if l_cap is None else (l_cap - 2) // 3
+    if k_cap < 0 or not holds(2):
+        return 0
+    lo, hi = 0, 1                   # grid indices k of l = 3k + 2
+    while hi <= k_cap and holds(3 * hi + 2):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, k_cap + 1)         # fails, or lies past the cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(3 * mid + 2) else (lo, mid)
+    return 3 * lo + 2
 
 
 # ---------------------------------------------------------------------------
@@ -182,29 +197,36 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
 # ---------------------------------------------------------------------------
 # Decay-law predictors.
 
-def _check_rates(p_sigma: float, p_zz: float) -> None:
+def _log_rates(p_sigma: float, p_zz: float) -> Tuple[float, float]:
+    """(alpha, beta) = (ln(1 - 4*p_sigma/3), ln(1 - 2*p_zz)); -inf at the
+    domain edges, where a factor vanishes."""
     if not 0.0 <= p_sigma <= 0.75:
         raise ValueError("p_sigma must lie in [0, 3/4]")
     if not 0.0 <= p_zz <= 0.5:
         raise ValueError("p_zz must lie in [0, 1/2]")
+    alpha = math.log1p(-4.0 * p_sigma / 3.0) if p_sigma < 0.75 else -math.inf
+    beta = math.log1p(-2.0 * p_zz) if p_zz < 0.5 else -math.inf
+    return alpha, beta
+
+
+def _mu_asymptotic(l: float, alpha: float, beta: float) -> float:
+    return math.exp((2.0 * l + 8.0) / 3.0 * alpha + 2.0 * l / 3.0 * beta)
 
 
 def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
                   p_zz: float) -> float:
     """Asymptotic decay of a template mean with the two error rates.
 
-    (1 - 4*p_sigma/3)^n_measured * (1 - 2*p_zz)^(2l/3).  The single-Pauli
-    factor is exact (one factor per measured photon); the pair-error
-    exponent 2l/3 is the large-l rate of flip-sensitive slot boundaries,
-    not the per-template integer count, so this is an extrapolation
-    formula rather than an exact finite-l law (see
-    predicted_template_mean for the exact one).  Identical for both
-    families, which share n_measured.
+    (1 - 4*p_sigma/3)^n_measured * (1 - 2*p_zz)^(2l/3), with n_measured
+    = (2l+8)/3 for both families.  The single-Pauli factor is exact (one
+    factor per measured photon); the pair-error exponent 2l/3 is the
+    large-l rate of flip-sensitive slot boundaries, not the per-template
+    integer count, so this is an extrapolation formula rather than an
+    exact finite-l law (see predicted_template_mean for the exact one).
+    It is the law xi_from_rates thresholds, evaluated by the same code.
     """
-    template = make_template(family, l)
-    _check_rates(p_sigma, p_zz)
-    return ((1.0 - 4.0 * p_sigma / 3.0) ** template.n_measured
-            * (1.0 - 2.0 * p_zz) ** (2.0 * l / 3.0))
+    make_template(family, l)    # rejects an unknown family or l
+    return _mu_asymptotic(l, *_log_rates(p_sigma, p_zz))
 
 
 def predicted_template_mean(template: Template, p_sigma: float,
@@ -339,23 +361,21 @@ class XiEstimate:
     method: str = "indirect"
 
 
-def _mu_asymptotic(l: float, alpha: float, beta: float) -> float:
-    return math.exp((2.0 * l + 8.0) / 3.0 * alpha + 2.0 * l / 3.0 * beta)
-
-
 def xi_from_rates(p_sigma: float, p_zz: float) -> XiEstimate:
     """Entanglement length from known rates via the asymptotic decay law.
 
-    Solves (2l+8)/3 * alpha + 2l/3 * beta = ln(1/3).  The continuous
-    root is clamped at 0 when even l = 0 is below threshold.
+    The continuous root solves (2l+8)/3 * alpha + 2l/3 * beta = ln(1/3),
+    clamped at 0 when even l = 0 is below threshold.  The grid value is
+    the largest l at which predict_gamma's law still exceeds 1/3, found
+    by _last_on_grid with no cap on l, since xi grows without bound as
+    the rates shrink.
     """
-    _check_rates(p_sigma, p_zz)
+    alpha, beta = _log_rates(p_sigma, p_zz)
     if p_sigma == 0.0 and p_zz == 0.0:
         return XiEstimate(continuous=math.inf, grid=math.inf)
-    alpha = math.log1p(-4.0 * p_sigma / 3.0) if p_sigma < 0.75 else -math.inf
-    beta = math.log1p(-2.0 * p_zz) if p_zz < 0.5 else -math.inf
-    l_star = _continuous_crossing(alpha, beta)
-    return XiEstimate(continuous=l_star, grid=_grid_crossing(alpha, beta))
+    grid = _last_on_grid(lambda l: _mu_asymptotic(l, alpha, beta) > _THIRD)
+    return XiEstimate(continuous=_continuous_crossing(alpha, beta),
+                      grid=float(grid))
 
 
 def _crossing_terms(alpha: float, beta: float) -> Tuple[float, float]:
@@ -371,21 +391,6 @@ def _continuous_crossing(alpha: float, beta: float) -> float:
     return max(0.0, numer / denom)
 
 
-def _grid_crossing(alpha: float, beta: float) -> float:
-    l_star = _continuous_crossing(alpha, beta)
-    if l_star < 2.0:
-        return 0.0
-    base = int(math.floor(l_star))
-    base -= (base - 2) % 3
-    while base >= 2 and not _mu_asymptotic(base, alpha, beta) > _THIRD:
-        base -= 3
-    if base < 2:
-        return 0.0
-    while _mu_asymptotic(base + 3, alpha, beta) > _THIRD:
-        base += 3
-    return float(base)
-
-
 def xi_e(fit: ErrorModelFit) -> XiEstimate:
     """Entanglement length from a fit, with propagated uncertainty.
 
@@ -395,9 +400,7 @@ def xi_e(fit: ErrorModelFit) -> XiEstimate:
     base = xi_from_rates(fit.p_sigma, fit.p_zz)
     if not math.isfinite(base.continuous) or base.continuous == 0.0:
         return base
-    alpha = math.log1p(-4.0 * fit.p_sigma / 3.0)
-    beta = math.log1p(-2.0 * fit.p_zz)
-    numer, denom = _crossing_terms(alpha, beta)
+    numer, denom = _crossing_terms(*_log_rates(fit.p_sigma, fit.p_zz))
     d_alpha = (-8.0 / 3.0) / denom - numer * (2.0 / 3.0) / denom ** 2
     d_beta = -numer * (2.0 / 3.0) / denom ** 2
     grad = np.array([d_alpha, d_beta])
@@ -439,14 +442,6 @@ def _default_layout(family: TemplateFamily) -> DetectorLayout:
     return DetectorLayout.THREE_DETECTOR
 
 
-def _check_layout(family: TemplateFamily, layout: DetectorLayout) -> None:
-    if (layout is DetectorLayout.TWO_DETECTOR
-            and family is not TemplateFamily.GAMMA1):
-        raise ValueError(
-            "two-detector layout has no X output; only the two-basis "
-            "family can use it")
-
-
 def optimal_pp(family: FamilyLike, l: int) -> float:
     """Preferred-basis splitter probability maximizing the match rate."""
     template = make_template(family, l)
@@ -457,9 +452,13 @@ def splitter_settings(family: FamilyLike, l: int,
                       layout: Optional[DetectorLayout] = None,
                       p_p: Optional[float] = None) -> Tuple[float, float, float]:
     """(q_x, q_y, q_z) realizing a layout at a preferred-basis weight."""
-    fam = _family(family)
+    fam = TemplateFamily(family)
     layout = layout or _default_layout(fam)
-    _check_layout(fam, layout)
+    if (layout is DetectorLayout.TWO_DETECTOR
+            and fam is not TemplateFamily.GAMMA1):
+        raise ValueError(
+            "two-detector layout has no X output; only the two-basis "
+            "family can use it")
     if p_p is None:
         p_p = optimal_pp(fam, l)
     _check_probability("p_p", p_p)
@@ -492,20 +491,13 @@ def optimal_instance_probability(family: FamilyLike, l: int, p_d: float,
                                  ) -> float:
     """Match probability at the optimal splitter setting.
 
-    Compact form p_d^n_m * p_p^n_p * ((1-p_p)/a)^(n_m-n_p) with
+    instance_probability at splitter_settings(family, l, layout).  In
+    closed form that is p_d^n_m * p_p^n_p * ((1-p_p)/a)^(n_m-n_p) with
     p_p = n_p/n_m and a the number of non-preferred detector outputs
     (1 for the two-detector layout, 2 for three).
     """
-    fam = _family(family)
-    layout = layout or _default_layout(fam)
-    _check_layout(fam, layout)
-    _check_probability("p_d", p_d)
-    template = make_template(fam, l)
-    n_m = template.n_measured
-    n_p = template.n_preferred
-    p_p = n_p / n_m
-    a = 1.0 if layout is DetectorLayout.TWO_DETECTOR else 2.0
-    return p_d ** n_m * p_p ** n_p * ((1.0 - p_p) / a) ** (n_m - n_p)
+    return instance_probability(family, l, p_d,
+                                *splitter_settings(family, l, layout))
 
 
 def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
@@ -516,17 +508,14 @@ def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
 
     The budget is the number of emitted photons (window offsets); the
     expected match count at separation l is n_budget times the optimal
-    per-offset probability.  Returns 0 when even l = 2 is out of reach.
+    per-offset probability, which falls with l, so _last_on_grid finds
+    the reach in O(log l) template builds.  Returns 0 when even l = 2 is
+    out of reach.
     """
     _check_budget(n_budget)
     if min_expected <= 0.0:
         raise ValueError("min_expected must be > 0")
-    best = 0
-    l = 2
-    while l <= l_cap:
-        p = optimal_instance_probability(family, l, p_d, layout)
-        if p * n_budget < min_expected:
-            break
-        best = l
-        l += 3
-    return best
+    return _last_on_grid(
+        lambda l: (optimal_instance_probability(family, l, p_d, layout)
+                   * n_budget >= min_expected),
+        l_cap)

@@ -66,15 +66,19 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
                                  f"row {row}")
             seen.add(template_id)
             family = template_id.split("(", 1)[0]
-            TemplateFamily(family)
-            est = CorrelatorEstimate(
-                template_id=template_id,
-                family=family,
-                l=int(row[1]),
-                match_count=int(row[2]),
-                signed_sum=int(row[3]),
-                overlap_fraction=float(row[6]),
-            )
+            try:
+                TemplateFamily(family)
+                est = CorrelatorEstimate(
+                    template_id=template_id,
+                    family=family,
+                    l=int(row[1]),
+                    match_count=int(row[2]),
+                    signed_sum=int(row[3]),
+                    overlap_fraction=float(row[6]),
+                )
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: {exc} in estimates row {row}") from None
             problem = _estimate_problem(est)
             if problem:
                 raise ValueError(f"{path}: {problem} in estimates row {row}")
@@ -96,6 +100,8 @@ def _estimate_problem(est: CorrelatorEstimate) -> str:
         return "signed sum and match count of different parity"
     if not math.isfinite(est.overlap_fraction):
         return "non-finite overlap fraction"
+    if not 0.0 <= est.overlap_fraction <= 1.0:
+        return "overlap fraction outside [0, 1]"
     return ""
 
 

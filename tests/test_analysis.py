@@ -360,20 +360,74 @@ def test_xi_pinned_values():
         assert est.grid == want_grid
 
 
+def _rates_near_grid_crossings(l_max=599, ulps=4):
+    # for each grid l, the p_zz at which the asymptotic law's exponent is
+    # ln(1/3) exactly, and its float neighbours on either side
+    out = []
+    for p_sigma in (0.0, 0.001, 0.004):
+        alpha = math.log1p(-4 * p_sigma / 3)
+        for l in certifiable_lengths(l_max):
+            beta = (math.log(1 / 3) - (2 * l + 8) / 3 * alpha) / (2 * l / 3)
+            p_zz = -math.expm1(beta) / 2
+            for towards in (0.0, 1.0):
+                near = p_zz
+                for _ in range(ulps):
+                    near = float(np.nextafter(near, towards))
+                    out.append((p_sigma, near))
+            out.append((p_sigma, p_zz))
+    return [(ps, pz) for ps, pz in out if 0.0 < pz <= 0.5]
+
+
 def test_xi_grid_brackets_the_threshold():
     rng = np.random.default_rng(45)
-    for _ in range(50):
-        p_sigma = float(rng.uniform(0, 0.02))
-        p_zz = float(rng.uniform(0, 0.02))
+    cases = [(float(rng.uniform(0, 0.02)), float(rng.uniform(0, 0.02)))
+             for _ in range(50)]
+    cases += _rates_near_grid_crossings()
+    for p_sigma, p_zz in cases:
         if p_sigma == 0.0 and p_zz == 0.0:
             continue
         est = xi_from_rates(p_sigma, p_zz)
         grid = int(est.grid)
         if grid >= 2:
             assert grid % 3 == 2
-            assert predict_gamma("Gamma1", grid, p_sigma, p_zz) > 1 / 3
+            assert predict_gamma("Gamma1", grid, p_sigma, p_zz) > 1 / 3, \
+                (p_sigma, p_zz, grid)
         follow = grid + 3 if grid >= 2 else 2
-        assert predict_gamma("Gamma1", follow, p_sigma, p_zz) <= 1 / 3
+        assert predict_gamma("Gamma1", follow, p_sigma, p_zz) <= 1 / 3, \
+            (p_sigma, p_zz, grid)
+
+
+class _CallBudget:
+    """Counts the calls of csmg.analysis.<name> and fails at once past the
+    allowed number, so that a walk that never ends fails instead."""
+
+    def __init__(self, monkeypatch, name):
+        import csmg.analysis as analysis
+        real = getattr(analysis, name)
+        self.calls, self.limit = 0, 0
+
+        def counting(*args):
+            self.calls += 1
+            assert self.calls <= self.limit, \
+                f"more than {self.limit} calls of {name}"
+            return real(*args)
+
+        monkeypatch.setattr(analysis, name, counting)
+
+    def allow(self, limit):
+        self.calls, self.limit = 0, limit
+
+
+def test_xi_grid_search_is_logarithmic_at_tiny_rates(monkeypatch):
+    budget = _CallBudget(monkeypatch, "_mu_asymptotic")
+    budget.allow(300)
+    assert xi_from_rates(0.0, 1e-22).grid == 8.239592165010822e+21
+    budget.allow(300)
+    assert xi_from_rates(0.0, 1e-12).grid == 823959216500.0
+    # l of about 8e299 (2^996): a gallop and a bisection of ~1000 steps each
+    budget.allow(2100)
+    est = xi_from_rates(0.0, 1e-300)
+    assert 0 < est.grid <= est.continuous
 
 
 def test_xi_noiseless_is_unbounded():
@@ -499,6 +553,20 @@ def test_max_direct_length_pinned_ranges():
     assert max_direct_length("Gamma1", 0.1, 1e10) == 8
     assert max_direct_length("Gamma1", 0.5, 1e10) == 29
     assert max_direct_length("Gamma1", 0.9, 1e10) == 176
+
+
+def test_max_direct_length_builds_few_templates(monkeypatch):
+    # the reach is found by a search over the grid, not by building every
+    # template up to it; the count fails first where the walk is per l
+    budget = _CallBudget(monkeypatch, "make_template")
+    budget.allow(200)
+    assert max_direct_length("Gamma1", 1.0, 1e8) == 11033
+    budget.allow(200)
+    assert max_direct_length("Gamma2", 1.0, 1e8) == 107
+    budget.allow(200)
+    assert max_direct_length("Gamma1", 1.0, 1e10) == 110360
+    budget.allow(200)
+    assert max_direct_length("Gamma2", 1.0, 1e10) == 347
 
 
 def test_max_direct_length_monotone_in_detection():

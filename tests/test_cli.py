@@ -277,6 +277,10 @@ def test_estimates_csv_roundtrip(tmp_path):
     ("4", "1", "0.0", "different parity"),
     ("4", "2", "nan", "non-finite overlap"),
     ("4", "2", "inf", "non-finite overlap"),
+    ("4", "2", "1.5", "overlap fraction outside"),
+    ("4", "2", "-0.25", "overlap fraction outside"),
+    ("ten", "2", "0.25", "invalid literal for int"),
+    ("4", "2", "most", "could not convert string to float"),
 ])
 def test_estimates_csv_rejects_impossible_rows(tmp_path, count, signed,
                                                overlap, problem):
@@ -292,6 +296,25 @@ def test_estimates_csv_rejects_impossible_rows(tmp_path, count, signed,
         read_estimates_csv(path)
     assert str(path) in str(err.value)
     assert "Gamma1(l=2)" in str(err.value)
+
+
+def test_estimates_csv_names_the_row_of_an_unknown_family(tmp_path, capsys):
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, [CorrelatorEstimate(
+        template_id="Gamma1(l=2)", family="Gamma1", l=2, match_count=4,
+        signed_sum=2, overlap_fraction=0.25)])
+    rows = _read_csv(path)
+    rows[1][0] = "Bogus(l=2)"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with pytest.raises(ValueError, match="not a valid TemplateFamily") as err:
+        read_estimates_csv(path)
+    assert str(path) in str(err.value)
+    assert "in estimates row ['Bogus(l=2)'" in str(err.value)
+    assert run(["analyze", str(path), "--out-bounds",
+                str(tmp_path / "b.csv"), "--out-summary",
+                str(tmp_path / "s.json")]) == 2
+    assert "Bogus(l=2)" in capsys.readouterr().err
 
 
 def test_estimates_csv_rejects_repeated_template(tmp_path, capsys):
