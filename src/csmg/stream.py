@@ -200,30 +200,51 @@ def _encode_block(cfg: ExperimentConfig, cuts: Tuple[float, float, float],
 # the frontier qubit's eigenstate (letter in {X, Y, Z}, sign in {+, -});
 # the state captures the newest photon before its own deferred Pauli and
 # finalization.  A step is selected by a 6-bit code
-# ``sp*16 + zz*8 + fin*2 + coin``.  Every entry is produced by driving the
-# exact StabilizerFrame through one pipeline step, so the table path is a
+# ``sp*16 + zz*8 + fin*2 + coin``.  The base tables below are a constant:
+# tests/test_stream_properties.py rebuilds every entry by driving the exact
+# StabilizerFrame through one pipeline step (``_apply_step_noise`` and
+# ``_finalize_to_byte``, as ``_simulate_frame`` does), asserts equality and,
+# when they differ, prints the block to paste here.  So the table path is a
 # memoization of the engine, not a reimplementation.
 #
 # Each code's next-state column is a map on the 6 states.  Closing the 64
 # maps under composition gives 66 maps (identity included), so a chunk's
-# walk can be composed pairwise as a prefix scan and the lookups that scan
+# walk can be composed pairwise as a prefix scan.  The lookups that scan
 # needs (code -> map id, compose, apply, and their forms for two adjacent
-# photons) are derived from the same tables.
+# photons) are derived from the base tables at first use.
 
-_STATE_LETTERS = ("X", "Y", "Z")
+# One row per frontier state (X+, X-, Y+, Y-, Z+, Z-), one digit per step
+# code.  out: the event byte of the photon the step finalizes; next: the
+# frontier state after the step; final: the last photon's byte, with the
+# zz bit unused (0).
+_INIT = 0  # the first emission leaves the frontier in X+
+_OUT = (
+    "2345670023456700234567002345670023456700234567002345670023456700",
+    "2345670023456700234567002345670023456700234567002345670023456700",
+    "2345670023456700234567002345670023456700234567002345670023456700",
+    "2345670023456700234567002345670023456700234567002345670023456700",
+    "2345660023456600234577002345770023457700234577002345660023456600",
+    "2345770023457700234566002345660023456600234566002345770023457700",
+)
+_NEXT = (
+    "4523010154231010453210105432010154231010452301015432010145321010",
+    "5432010145321010542310104523010145321010543201014523010154231010",
+    "3245010132541010325410103245010123451010235401012354010123451010",
+    "2354010123451010234510102354010132541010324501013245010132541010",
+    "0000000011111111000000001111111100000000111111110000000011111111",
+    "1111111100000000111111110000000011111111000000001111111100000000",
+)
+_FINAL = (
+    "2245670000000000224567000000000033456700000000003345670000000000",
+    "3345670000000000334567000000000022456700000000002245670000000000",
+    "2344670000000000235567000000000023446700000000002355670000000000",
+    "2355670000000000234467000000000023556700000000002344670000000000",
+    "2345660000000000234577000000000023457700000000002345660000000000",
+    "2345770000000000234566000000000023456600000000002345770000000000",
+)
+
 # Map ids are stored as uint8 and a pair of them indexes a 2^16 table.
 _MAX_MAPS = 256
-
-
-def _state_index(letter: str, sign: int) -> int:
-    return _STATE_LETTERS.index(letter) * 2 + (0 if sign > 0 else 1)
-
-
-def _frame_for_state(state: int) -> StabilizerFrame:
-    letter = _STATE_LETTERS[state // 2]
-    sign = 1 if state % 2 == 0 else -1
-    return StabilizerFrame.from_generators(
-        [0], [PauliString.single(letter, 0, phase=sign)])
 
 
 def _apply_step_noise(frame: StabilizerFrame, newest: int, sp: int, zz: int) -> None:
@@ -315,40 +336,10 @@ def _pair_tables(out: np.ndarray, nxt: np.ndarray, code_map: np.ndarray,
     return pair_map.ravel(), apply_pair, out2.ravel()
 
 
-def _build_tables() -> _ChainTables:
-    frame = StabilizerFrame()
-    frame.emit_qubit(0)
-    letter, sign = frame.single_qubit_state(0)
-    init = _state_index(letter.value, sign)
-
-    out = np.zeros((6, 64), dtype=np.uint8)
-    nxt = np.zeros((6, 64), dtype=np.uint8)
-    final = np.zeros((6, 64), dtype=np.uint8)
-    for state in range(6):
-        for sp in range(4):
-            for zz in range(2):
-                for fin in range(4):
-                    for coin in range(2):
-                        frame = _frame_for_state(state)
-                        frame.emit_qubit(1)
-                        _apply_step_noise(frame, 1, sp, zz)
-                        byte = _finalize_to_byte(
-                            frame, 0, fin, 0.25 if coin == 0 else 0.75)
-                        letter, sign = frame.single_qubit_state(1)
-                        code = ((sp * 2 + zz) * 4 + fin) * 2 + coin
-                        out[state, code] = byte
-                        nxt[state, code] = _state_index(letter.value, sign)
-
-            for fin in range(4):
-                for coin in range(2):
-                    frame = _frame_for_state(state)
-                    if sp:
-                        frame.apply_pauli(PauliString.single(_AXES[sp - 1], 0))
-                    final[state, (sp * 8 + fin) * 2 + coin] = _finalize_to_byte(
-                        frame, 0, fin, 0.25 if coin == 0 else 0.75)
-    closure = _map_closure(nxt)
-    return _ChainTables(init, out.ravel(), nxt, final, *closure,
-                        *_pair_tables(out, nxt, *closure))
+def _digits(rows: Tuple[str, ...]) -> np.ndarray:
+    """The (6, 64) uint8 table spelled by one string of digits per state."""
+    table = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return (table - np.uint8(ord("0"))).reshape(6, 64)
 
 
 _TABLES: Optional[_ChainTables] = None
@@ -357,7 +348,10 @@ _TABLES: Optional[_ChainTables] = None
 def _tables() -> _ChainTables:
     global _TABLES
     if _TABLES is None:
-        _TABLES = _build_tables()
+        out, nxt, final = _digits(_OUT), _digits(_NEXT), _digits(_FINAL)
+        closure = _map_closure(nxt)
+        _TABLES = _ChainTables(_INIT, out.ravel(), nxt, final, *closure,
+                               *_pair_tables(out, nxt, *closure))
     return _TABLES
 
 

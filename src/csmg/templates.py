@@ -17,7 +17,6 @@ then on a short simulated stream.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -94,7 +93,7 @@ class Template:
 
     @property
     def n_measured(self) -> int:
-        return sum(1 for c in self.slots if c != SLOT_FREE)
+        return len(self.slots) - self.slots.count(SLOT_FREE)
 
     @property
     def n_preferred(self) -> int:
@@ -533,6 +532,9 @@ def scan(record, templates: Sequence[Template], *, mode: str = "all",
     if len(ranges) == 1:
         parts = [run(ranges[0])]
     else:
+        # imported here: concurrent.futures loads logging, and a
+        # single-range scan never needs the pool
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
             parts = list(pool.map(run, ranges))
     totals = parts[0]

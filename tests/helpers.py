@@ -10,8 +10,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from csmg.pauli import PauliString
+from csmg.pauli import PauliString, StabilizerFrame
 from csmg.recordio import EVENT_LOST, event_basis, event_outcome
+from csmg.stream import _AXES, _apply_step_noise, _finalize_to_byte
 from csmg.templates import Template
 
 _ID = np.eye(2, dtype=complex)
@@ -153,3 +154,71 @@ def events_from_text(text: str) -> bytes:
         basis, sign = token[0], token[1]
         out.append((basis_codes[basis] << 1) | (0 if sign == "+" else 1))
     return bytes(out)
+
+
+# ---------------------------------------------------------------------------
+# The stream's base chain tables, rebuilt through the stabilizer frame.
+
+_STATE_LETTERS = ("X", "Y", "Z")
+
+
+def _state_index(letter: str, sign: int) -> int:
+    return _STATE_LETTERS.index(letter) * 2 + (0 if sign > 0 else 1)
+
+
+def _frame_for_state(state: int) -> StabilizerFrame:
+    letter = _STATE_LETTERS[state // 2]
+    sign = 1 if state % 2 == 0 else -1
+    return StabilizerFrame.from_generators(
+        [0], [PauliString.single(letter, 0, phase=sign)])
+
+
+def build_tables_from_frame() -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(init, out, next_state, final) of ``csmg.stream``, each table (6, 64).
+
+    Every entry comes from driving the frame through one pipeline step from
+    the frontier state of its row, with the step code of its column.
+    """
+    frame = StabilizerFrame()
+    frame.emit_qubit(0)
+    letter, sign = frame.single_qubit_state(0)
+    init = _state_index(letter.value, sign)
+
+    out = np.zeros((6, 64), dtype=np.uint8)
+    nxt = np.zeros((6, 64), dtype=np.uint8)
+    final = np.zeros((6, 64), dtype=np.uint8)
+    for state in range(6):
+        for sp in range(4):
+            for zz in range(2):
+                for fin in range(4):
+                    for coin in range(2):
+                        frame = _frame_for_state(state)
+                        frame.emit_qubit(1)
+                        _apply_step_noise(frame, 1, sp, zz)
+                        byte = _finalize_to_byte(
+                            frame, 0, fin, 0.25 if coin == 0 else 0.75)
+                        letter, sign = frame.single_qubit_state(1)
+                        code = ((sp * 2 + zz) * 4 + fin) * 2 + coin
+                        out[state, code] = byte
+                        nxt[state, code] = _state_index(letter.value, sign)
+
+            for fin in range(4):
+                for coin in range(2):
+                    frame = _frame_for_state(state)
+                    if sp:
+                        frame.apply_pauli(PauliString.single(_AXES[sp - 1], 0))
+                    final[state, (sp * 8 + fin) * 2 + coin] = _finalize_to_byte(
+                        frame, 0, fin, 0.25 if coin == 0 else 0.75)
+    return init, out, nxt, final
+
+
+def chain_table_literal(init: int, out: np.ndarray, nxt: np.ndarray,
+                        final: np.ndarray) -> str:
+    """The ``_INIT`` ... ``_FINAL`` assignments of ``csmg/stream.py``."""
+    lines = [f"_INIT = {init}  # the first emission leaves the frontier in "
+             f"{_STATE_LETTERS[init // 2]}{'+-'[init % 2]}"]
+    for name, table in (("_OUT", out), ("_NEXT", nxt), ("_FINAL", final)):
+        lines.append(f"{name} = (")
+        lines += [f'    "{"".join(map(str, row))}",' for row in table.tolist()]
+        lines.append(")")
+    return "\n".join(lines)

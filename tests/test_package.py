@@ -23,12 +23,39 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("numba", "scipy")))
 """
 
 
-def test_import_stays_numpy_only():
-    # pyproject.toml declares numpy as the only dependency: importing the
-    # package must not load, or even look for, numba or scipy
+_COLD_PROBE = """
+import sys
+import csmg, csmg.cli
+print("concurrent.futures" in sys.modules)
+from csmg.pauli import StabilizerFrame
+from csmg.stream import ExperimentConfig, simulate
+
+def refuse(self):
+    raise AssertionError("the table path constructed a StabilizerFrame")
+
+StabilizerFrame.__init__ = refuse
+record = simulate(ExperimentConfig(n_photons=10 ** 4, p_d=0.5), method="table")
+print(len(record.events))
+"""
+
+
+def _probe(code):
+    """Stdout lines of ``code`` run in a fresh interpreter on this csmg."""
     src = str(Path(csmg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
-                         capture_output=True, text=True).stdout.splitlines()
-    assert out == ["[]", "[]"]
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def test_import_stays_numpy_only():
+    # pyproject.toml declares numpy as the only dependency: importing the
+    # package must not load, or even look for, numba or scipy
+    assert _probe(_PROBE) == ["[]", "[]"]
+
+
+def test_cold_path_builds_no_thread_pool_and_no_frame():
+    # a fresh process pays for what the import and the first simulate
+    # load: the thread pool is only for multi-range scans, and the chain
+    # tables ship as a constant that only the tests rebuild through the frame
+    assert _probe(_COLD_PROBE) == ["False", "10000"]

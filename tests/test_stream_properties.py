@@ -1,9 +1,12 @@
 """Property tests for the table path: generated configs, codes and chunkings."""
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import csmg.stream as stream
 from csmg.stream import (_PAIR, ExperimentConfig, _encode_block, _fin_choice,
                          _fin_cuts, _scan_chain, _tables, simulate)
+from helpers import build_tables_from_frame, chain_table_literal
 
 _unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 # detection probabilities at the edges of float64: the smallest subnormal,
@@ -39,6 +42,31 @@ def test_table_matches_frame_on_generated_configs(case):
     frame = simulate(cfg, method="frame", forced_bases=forced)
     table = simulate(cfg, method="table", forced_bases=forced, _chunk=chunk)
     assert np.array_equal(table.events, frame.events)
+
+
+def test_base_tables_are_the_frame_tables():
+    # the runtime reads the base tables from a constant; the frame is
+    # their oracle, entry by entry.  The literal is compared before
+    # _tables() derives anything from it, so a wrong entry that breaks
+    # the closure still gets the message.
+    want = build_tables_from_frame()
+    got = (stream._INIT, *map(stream._digits,
+                              (stream._OUT, stream._NEXT, stream._FINAL)))
+    wrong = [f"{name}[state {s}, code {c}] = {g[s, c]}, the frame gives {w[s, c]}"
+             for name, g, w in zip(("out", "next", "final"), got[1:], want[1:])
+             for s, c in np.argwhere(g != w).tolist()]
+    if got[0] != want[0]:
+        wrong.insert(0, f"init = {got[0]}, the frame gives {want[0]}")
+    if wrong:
+        pytest.fail("the chain tables in csmg/stream.py differ from the frame:\n"
+                    + "\n".join(wrong[:10])
+                    + "\nreplace their _INIT ... _FINAL block with:\n\n"
+                    + chain_table_literal(*want), pytrace=False)
+    tables = _tables()
+    assert tables.init == want[0]
+    for table, frame_table in zip((tables.out.reshape(6, 64), tables.next_state,
+                                   tables.final), want[1:]):
+        assert np.array_equal(table, frame_table)
 
 
 def _naive_walk(codes, state, tables):

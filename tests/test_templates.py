@@ -90,6 +90,13 @@ def test_measured_count_formulas():
         assert (g2.slots[1], g2.slots[l + 1]) == (SLOT_X, SLOT_X)
 
 
+def test_measured_count_is_the_slot_walk():
+    # n_measured counts the free slots; its definition walks every slot
+    for l in certifiable_lengths(3002):
+        for t in (make_gamma1(l), make_gamma2(l)):
+            assert t.n_measured == sum(1 for c in t.slots if c != SLOT_FREE)
+
+
 def test_off_grid_lengths_rejected():
     for l in (-1, 0, 1, 3, 4, 6, 7, 9):
         with pytest.raises(ValueError):
