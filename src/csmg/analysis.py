@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -154,9 +155,13 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
     and a conservative one with every moment lowered by z standard
     errors (clamped to [-1, 1]).  Requires both families at every
     requested l; when ``ls`` is omitted, uses every l where both are
-    present with at least one match.  The table's xi_e is the largest l
-    whose conservative bound is still positive (0 if none).  A negative
-    or non-finite z would raise the bound instead, so it is rejected.
+    present with at least one match.  The table's xi_e is a fixed-sequence
+    test: walk the candidates (``ls``, else every l in the estimates)
+    upward, stop at the first l whose conservative bound is not positive
+    or that lacks a match in either family, and certify the last l that
+    passed (0 if none).  An order fixed before the data are seen keeps
+    the family-wise error at the per-l rate.  A negative or non-finite z
+    would raise the bound instead, so it is rejected.
     """
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"z must be finite and >= 0, got {z}")
@@ -168,8 +173,9 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
         return all(f.value in d and d[f.value].match_count > 0
                    for f in TemplateFamily)
 
+    candidates = sorted(by_l if ls is None else ls)
     if ls is None:
-        ls = sorted(l for l, d in by_l.items() if usable(d))
+        ls = [l for l in candidates if usable(by_l[l])]
     rows: List[LEBoundRow] = []
     for l in ls:
         d = by_l.get(l, {})
@@ -190,7 +196,8 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
             clamped=(_clamped_spectrum(central)[1]
                      or _clamped_spectrum(conservative)[1]),
         ))
-    xi = max((r.l for r in rows if r.eof_conservative > 0.0), default=0)
+    passed = {r.l for r in rows if r.eof_conservative > 0.0}
+    xi = max(takewhile(passed.__contains__, candidates), default=0)
     return LEBoundTable(rows=tuple(rows), xi_e=xi, z=z)
 
 

@@ -3,9 +3,12 @@
 The source flags of ``simulate``, the template flags of ``scan`` and the
 ``--lmax``/``--families`` flags of ``verify`` each set the RunConfig
 field named by their dest, over ``--config FILE`` (simulate and scan) or
-the defaults.  A comma list given as a flag, ``report --psigmas``
-included, is read by the same parser as a config-file list, and every
-value is checked as the RunConfig is built and validated.
+the defaults.  argparse keeps a flag's text; the config-file reader
+reads it as it reads that key's value in a file, so a flag and a file
+line accept the same values and reject a bad one with the same message.
+``report --psigmas`` is read as a config-file list and CSMG_THREADS as a
+config-file integer.  Every value is checked as the RunConfig is built
+and validated.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 template verification failure.  analyze, plan and report compute
@@ -22,12 +25,11 @@ import time
 from dataclasses import fields
 from typing import List, Optional
 
-from .analysis import (TemplateFamily, direct_bounds,
-                       fit_error_model, max_direct_length,
-                       naive_tomography_K, optimal_instance_probability,
-                       optimal_pp, splitter_settings, xi_e)
+from .analysis import (TemplateFamily, direct_bounds, fit_error_model,
+                       instance_probability, max_direct_length,
+                       naive_tomography_K, splitter_settings, xi_e)
 from .config import (ConfigError, RunConfig, override, parse_list,
-                     parse_value, read_config)
+                     parse_scalar, parse_value, read_config)
 from .recordio import RecordFormatError, open_record, write_record
 from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
                       read_estimates_csv, tomography_rows, write_bounds_csv,
@@ -51,52 +53,42 @@ def _effective_threads(requested: int) -> int:
     cap = os.cpu_count() or 1
     env = os.environ.get("CSMG_THREADS")
     if env:
-        try:
-            cap = min(cap, int(env))
-        except ValueError:
-            raise ConfigError(f"CSMG_THREADS must be an integer, got {env!r}")
+        cap = min(cap, parse_scalar("CSMG_THREADS", int, env))
     return max(1, min(requested, cap))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     cfg = read_config(path) if path else RunConfig()
-    updates = {}
-    for f in fields(RunConfig):
-        # a flag's dest is the field it sets; text flags (the comma lists,
-        # mode) go through the config-file parser
-        value = getattr(args, f.name, None)
-        if isinstance(value, str):
-            value = parse_value(f.name, value)
-        updates[f.name] = value
-    return override(cfg, **updates)
+    # a flag's dest is the field it sets, and its text is read as that
+    # key's value in a config file
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return override(cfg, **{name: parse_value(name, text)
+                            for name, text in flags.items()
+                            if text is not None})
 
 
 def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="run configuration file (key = value)")
-    p.add_argument("--photons", dest="n_photons", type=int,
+    p.add_argument("--photons", dest="n_photons",
                    help="number of photons to emit")
-    p.add_argument("--seed", dest="seed", type=int, help="random seed")
-    p.add_argument("--pd", dest="p_d", type=float,
-                   help="detection probability")
-    p.add_argument("--qx", dest="q_x", type=float,
-                   help="X-basis splitter probability")
-    p.add_argument("--qy", dest="q_y", type=float,
-                   help="Y-basis splitter probability")
-    p.add_argument("--qz", dest="q_z", type=float,
-                   help="Z-basis splitter probability")
-    p.add_argument("--psigma", dest="p_sigma", type=float,
+    p.add_argument("--seed", dest="seed", help="random seed")
+    p.add_argument("--pd", dest="p_d", help="detection probability")
+    p.add_argument("--qx", dest="q_x", help="X-basis splitter probability")
+    p.add_argument("--qy", dest="q_y", help="Y-basis splitter probability")
+    p.add_argument("--qz", dest="q_z", help="Z-basis splitter probability")
+    p.add_argument("--psigma", dest="p_sigma",
                    help="per-photon single-Pauli error probability")
-    p.add_argument("--pzz", dest="p_zz", type=float,
+    p.add_argument("--pzz", dest="p_zz",
                    help="per-pair Z*Z error probability")
-    p.add_argument("--burn-in", dest="burn_in", type=int,
+    p.add_argument("--burn-in", dest="burn_in",
                    help="photons flagged as burn-in in the record header")
-    p.add_argument("--tau-em", dest="tau_em", type=float,
+    p.add_argument("--tau-em", dest="tau_em",
                    help="emission period in seconds")
 
 
 def _add_template_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lmax", dest="l_max", type=int,
+    p.add_argument("--lmax", dest="l_max",
                    help="largest separation on the grid")
     p.add_argument("--l-values", dest="l_values",
                    help="explicit comma-separated separations")
@@ -105,10 +97,8 @@ def _add_template_flags(p: argparse.ArgumentParser) -> None:
                         "(Gamma1, Gamma2)")
     p.add_argument("--mode", dest="mode", choices=("all", "greedy"),
                    help="count every match or non-overlapping only")
-    p.add_argument("--stride", dest="stride", type=int,
-                   help="window start spacing")
-    p.add_argument("--threads", dest="threads", type=int,
-                   help="scan worker threads")
+    p.add_argument("--stride", dest="stride", help="window start spacing")
+    p.add_argument("--threads", dest="threads", help="scan worker threads")
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -190,10 +180,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
                                   min_expected=args.min_expected)
         line = f"{family.value}: direct reach l = {reach}"
         if reach:
-            pp = optimal_pp(family, reach)
             qs = splitter_settings(family, reach)
-            prob = optimal_instance_probability(family, reach, args.pd)
-            line += (f" (p_p = {pp:.4f}, q = ({qs[0]:.4f}, {qs[1]:.4f}, "
+            prob = instance_probability(family, reach, args.pd, *qs)
+            line += (f" (p_p = {qs[1]:.4f}, q = ({qs[0]:.4f}, {qs[1]:.4f}, "
                      f"{qs[2]:.4f}), match prob {prob:.3g})")
         lines.append(line)
     print("\n".join(lines))
@@ -270,7 +259,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("verify", help="self-check the template constructions")
-    p.add_argument("--lmax", dest="l_max", type=int, default=50,
+    p.add_argument("--lmax", dest="l_max", default="50",
                    help="largest separation to verify")
     p.add_argument("--families", dest="families", default="Gamma1,Gamma2",
                    help="comma-separated families")

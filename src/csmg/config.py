@@ -6,7 +6,8 @@ ExperimentConfig, so the simulator takes it as it is and a bad source
 value fails when it is built; it adds the scan selection (families,
 separations, mode) and optional output paths.  Its fields are the keys:
 a value is read by its field's type, families and l_values as comma
-lists, and every scan rule lives in validate().
+lists, and every scan rule lives in validate().  The CLI reads a flag's
+text with the same reader, parse_value.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ _SCALARS: Dict[type, str] = {int: "an integer", float: "a number"}
 _FAMILY_NAMES = frozenset(family.value for family in TemplateFamily)
 
 
-def _parse_scalar(key: str, kind: type, text: str) -> object:
+def parse_scalar(key: str, kind: type, text: str) -> object:
     """Read one value of ``kind`` (a family name, a number or text) for ``key``."""
     if kind is TemplateFamily:
         if text not in _FAMILY_NAMES:
@@ -43,7 +44,7 @@ def _parse_scalar(key: str, kind: type, text: str) -> object:
 
 def parse_list(key: str, text: str, kind: type) -> tuple:
     """Read a comma list of ``kind`` items; blank items are skipped."""
-    return tuple(_parse_scalar(key, kind, part.strip())
+    return tuple(parse_scalar(key, kind, part.strip())
                  for part in text.split(",") if part.strip())
 
 
@@ -67,7 +68,7 @@ class RunConfig(ExperimentConfig):
     def validate(self) -> "RunConfig":
         """Check the scan rules; raises ConfigError on the first broken one."""
         for name in self.families:  # the families reader's name check
-            _parse_scalar("families", TemplateFamily, name)
+            parse_scalar("families", TemplateFamily, name)
         try:
             for l in self.separations():
                 _check_length(l)
@@ -111,7 +112,7 @@ def parse_value(key: str, text: str) -> object:
     """Read the value of field ``key`` from its config-file text."""
     if key in _LIST_ITEMS:
         return parse_list(key, text, _LIST_ITEMS[key])
-    return _parse_scalar(key, _FIELD_TYPES[key], text)
+    return parse_scalar(key, _FIELD_TYPES[key], text)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -155,11 +156,6 @@ def format_config(cfg: RunConfig) -> str:
             raise ConfigError(f"{f.name} = {text!r} cannot be written to a config file")
         lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
-
-
-def write_config(path: str, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(cfg))
 
 
 def override(cfg: RunConfig, **updates) -> RunConfig:

@@ -5,9 +5,11 @@ point anywhere in the group arithmetic.  The :class:`StabilizerFrame`
 keeps an explicit generating set for the stabilizer group of a small
 window of live qubits and supports emission of new cluster qubits,
 Pauli errors, destructive measurement and loss (trace-out).  It favours
-exactness and clarity over speed: the high-rate photon stream in
-:mod:`csmg.stream` compiles its per-photon transition tables from this
-engine once and then never touches it again.
+exactness and clarity over speed: it is the reference engine of
+``simulate(method="frame")``.  The high-rate photon stream in
+:mod:`csmg.stream` walks transition tables that ship as a constant; a
+test rebuilds every entry from this engine, and the table path never
+builds a frame.
 """
 from __future__ import annotations
 

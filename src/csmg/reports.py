@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import (ErrorModelFit, LEBoundTable, TemplateFamily,
                        XiEstimate, max_direct_length, naive_tomography_K,
                        xi_from_rates)
-from .templates import CorrelatorEstimate
+from .templates import CorrelatorEstimate, make_template
 
 ESTIMATE_COLUMNS = ("template", "l", "n_matches", "signed_sum", "mean",
                     "stderr", "overlap_fraction")
@@ -67,11 +67,11 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
             seen.add(template_id)
             family = template_id.split("(", 1)[0]
             try:
-                TemplateFamily(family)
+                template = make_template(family, int(row[1]))
                 est = CorrelatorEstimate(
                     template_id=template_id,
                     family=family,
-                    l=int(row[1]),
+                    l=template.l,
                     match_count=int(row[2]),
                     signed_sum=int(row[3]),
                     overlap_fraction=float(row[6]),
@@ -79,7 +79,10 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: {exc} in estimates row {row}") from None
-            problem = _estimate_problem(est)
+            # the id names (family, l), so a repeated (family, l) repeats it
+            problem = (f"template id that does not name l = {est.l}"
+                       if template_id != template.id
+                       else _estimate_problem(est))
             if problem:
                 raise ValueError(f"{path}: {problem} in estimates row {row}")
             estimates.append(est)
@@ -87,10 +90,7 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
 
 
 def _estimate_problem(est: CorrelatorEstimate) -> str:
-    """Why no scan could have produced est, or "" if one could."""
-    # the id names (family, l), so a repeated (family, l) repeats the id
-    if est.template_id != f"{est.family}(l={est.l})":
-        return f"template id that does not name l = {est.l}"
+    """Why no scan could have produced est's counts, or "" if one could."""
     if est.match_count < 0:
         return "negative match count"
     if abs(est.signed_sum) > est.match_count:

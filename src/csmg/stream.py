@@ -102,10 +102,6 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    @property
-    def photon_budget_per_second(self) -> float:
-        return 1.0 / self.tau_em
-
 
 # ---------------------------------------------------------------------------
 # Shared uniform -> decision helpers.  The scalar and vector versions must

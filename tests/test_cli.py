@@ -16,7 +16,6 @@ from csmg.config import (
     override,
     parse_config,
     read_config,
-    write_config,
 )
 from csmg.recordio import ClickRecord, open_record, write_record
 from csmg.reports import read_estimates_csv, write_estimates_csv
@@ -142,6 +141,40 @@ def test_flags_and_config_file_read_alike(cfg, sep):
     assert from_flags == parse_config(format_config(cfg)) == cfg
 
 
+def test_field_flags_keep_their_text_for_the_config_reader():
+    # a type= would read the flag a second way, before the config reader
+    _, subs = _subcommand_parsers()
+    names = {f.name for f in fields(RunConfig)}
+    for command in ("simulate", "scan", "verify"):
+        for action in subs[command]._actions:
+            if action.dest in names:
+                assert action.type is None, (command, action.dest)
+                assert action.default is None or isinstance(action.default,
+                                                            str)
+
+
+@pytest.mark.parametrize("command, flag, key, text, kind", [
+    ("simulate", "--photons", "n_photons", "abc", "an integer"),
+    ("scan", "--stride", "stride", "1.5", "an integer"),
+    ("simulate", "--pd", "p_d", "x", "a number"),
+    ("scan", "--threads", "threads", "two", "an integer"),
+])
+def test_bad_flag_value_fails_as_in_a_config_file(tmp_path, command, flag,
+                                                  key, text, kind, capsys):
+    # scan reads its settings before it opens the (absent) record
+    head = [command] + ([str(tmp_path / "absent.csmg")]
+                        if command == "scan" else [])
+    out = tmp_path / "out"
+    message = f"{key}: expected {kind}, got {text!r}"
+    assert run([*head, flag, text, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{key} = {text}\n")
+    assert run([*head, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("families", [("Bogus",), (), ("Gamma1", "gamma2")])
 def test_validate_rejects_bad_family_lists(families):
     with pytest.raises(ConfigError):
@@ -185,7 +218,7 @@ def test_report_dir_is_an_unknown_key():
 def test_config_file_io(tmp_path):
     cfg = RunConfig(n_photons=123, seed=1)
     path = tmp_path / "run.cfg"
-    write_config(path, cfg)
+    path.write_text(format_config(cfg), encoding="utf-8")
     assert read_config(path) == cfg
 
 
@@ -339,6 +372,22 @@ def test_estimates_csv_rejects_repeated_template(tmp_path, capsys):
         csv.writer(fh).writerows(rows)
     with pytest.raises(ValueError, match="does not name l = 2"):
         read_estimates_csv(path)
+
+
+def test_estimates_csv_rejects_a_separation_off_the_grid(tmp_path, capsys):
+    # no template exists at l = 3, so no scan could have written these rows
+    path = tmp_path / "estimates.csv"
+    write_estimates_csv(path, [
+        CorrelatorEstimate(f"{f}(l=3)", f, 3, 500, 480, 0.0)
+        for f in ("Gamma1", "Gamma2")])
+    with pytest.raises(ValueError, match="separation 3 is not supported"):
+        read_estimates_csv(path)
+    bounds, summary = tmp_path / "b.csv", tmp_path / "s.json"
+    assert run(["analyze", str(path), "--no-fit", "--out-bounds",
+                str(bounds), "--out-summary", str(summary)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "in estimates row ['Gamma1(l=3)'" in err
+    assert not bounds.exists() and not summary.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +682,19 @@ def test_bad_config_exit_code_2(tmp_path):
     cfg.write_text("nonsense_key = 1\n")
     assert run(["simulate", "--config", str(cfg), "--photons", "10",
                 "--out", str(tmp_path / "x.csmg")]) == 2
+
+
+def test_bad_threads_env_exit_code_2(tmp_path, monkeypatch, capsys):
+    rec_path = tmp_path / "s.csmg"
+    write_record(rec_path, ClickRecord(events=np.full(64, 0x06, np.uint8),
+                                       burn_in=0))
+    monkeypatch.setenv("CSMG_THREADS", "two")
+    out = tmp_path / "e.csv"
+    assert run(["scan", str(rec_path), "--l-values", "2",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err \
+        == "error: CSMG_THREADS: expected an integer, got 'two'\n"
+    assert not out.exists()
 
 
 def test_threads_env_cap(tmp_path, monkeypatch, capsys):

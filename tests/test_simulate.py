@@ -69,11 +69,6 @@ def test_config_takes_numpy_integer_counts():
                           simulate(_cfg(n_photons=50, seed=3)).events)
 
 
-def test_photon_budget_per_second():
-    cfg = _cfg(tau_em=1e-9)
-    assert cfg.photon_budget_per_second == pytest.approx(10 ** 9)
-
-
 # ---------------------------------------------------------------------------
 # Determinism and engine equivalence.
 
