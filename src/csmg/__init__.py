@@ -7,12 +7,11 @@ correlators, and the analysis layer turns those estimates into certified
 entanglement bounds, fitted error rates, and an extrapolated
 entanglement length.
 """
-from .analysis import (DetectorLayout, ErrorModelFit, LEBoundRow,
-                       LEBoundTable, TwoQubitMoments, XiEstimate,
-                       concurrence, direct_bounds, eof, eof_from_concurrence,
+from .analysis import (ErrorModelFit, LEBoundRow, LEBoundTable,
+                       TwoQubitMoments, XiEstimate, concurrence,
+                       direct_bounds, eof, eof_from_concurrence,
                        fit_error_model, instance_probability,
                        max_direct_length, naive_tomography_K,
-                       optimal_instance_probability, optimal_pp,
                        predict_gamma, predicted_template_mean,
                        rho_tilde_eigenvalues, splitter_settings, xi_e,
                        xi_from_rates)
@@ -31,7 +30,7 @@ from .templates import (CorrelatorEstimate, Template, TemplateFamily,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClickRecord", "ConfigError", "CorrelatorEstimate", "DetectorLayout",
+    "ClickRecord", "ConfigError", "CorrelatorEstimate",
     "ErrorModelFit", "ExperimentConfig", "FrameError", "LEBoundRow",
     "LEBoundTable", "PauliLetter", "PauliString", "RecordFormatError",
     "RunConfig", "StabilizerFrame", "Template", "TemplateFamily",
@@ -41,7 +40,7 @@ __all__ = [
     "event_basis", "event_outcome", "fit_error_model",
     "instance_probability", "make_gamma1", "make_gamma2", "make_template",
     "max_direct_length", "naive_tomography_K", "open_record",
-    "optimal_instance_probability", "optimal_pp", "parse_config",
+    "parse_config",
     "predict_gamma", "predicted_template_mean", "read_config",
     "rho_tilde_eigenvalues", "scan", "simulate",
     "splitter_settings", "template_k_product", "verify_template",

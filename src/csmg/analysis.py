@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import takewhile
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -438,41 +437,19 @@ def naive_tomography_K(p_d: float, n_budget: float) -> int:
     return k
 
 
-class DetectorLayout(Enum):
-    TWO_DETECTOR = "two_detector"
-    THREE_DETECTOR = "three_detector"
+def splitter_settings(family: FamilyLike, l: int) -> Tuple[float, float, float]:
+    """(q_x, q_y, q_z) of the splitter that best feeds the template.
 
-
-def _default_layout(family: TemplateFamily) -> DetectorLayout:
-    if family is TemplateFamily.GAMMA1:
-        return DetectorLayout.TWO_DETECTOR
-    return DetectorLayout.THREE_DETECTOR
-
-
-def optimal_pp(family: FamilyLike, l: int) -> float:
-    """Preferred-basis splitter probability maximizing the match rate."""
+    The passive scheme sends each photon to one detector per basis, and
+    the template fixes which bases it needs.  The Y share is p_p = n_Y /
+    n_m, each of the a other bases the template requires gets
+    (1 - p_p) / a, and a basis it never requires gets no detector: 0.
+    """
     template = make_template(family, l)
-    return template.n_preferred / template.n_measured
-
-
-def splitter_settings(family: FamilyLike, l: int,
-                      layout: Optional[DetectorLayout] = None,
-                      p_p: Optional[float] = None) -> Tuple[float, float, float]:
-    """(q_x, q_y, q_z) realizing a layout at a preferred-basis weight."""
-    fam = TemplateFamily(family)
-    layout = layout or _default_layout(fam)
-    if (layout is DetectorLayout.TWO_DETECTOR
-            and fam is not TemplateFamily.GAMMA1):
-        raise ValueError(
-            "two-detector layout has no X output; only the two-basis "
-            "family can use it")
-    if p_p is None:
-        p_p = optimal_pp(fam, l)
-    _check_probability("p_p", p_p)
-    if layout is DetectorLayout.TWO_DETECTOR:
-        return (0.0, p_p, 1.0 - p_p)
-    rest = (1.0 - p_p) / 2.0
-    return (rest, p_p, rest)
+    n_x, n_y, n_z = template.basis_counts()
+    p_p = n_y / template.n_measured
+    rest = (1.0 - p_p) / ((n_x > 0) + (n_z > 0))
+    return (rest if n_x else 0.0, p_p, rest if n_z else 0.0)
 
 
 def instance_probability(family: FamilyLike, l: int, p_d: float, q_x: float,
@@ -493,23 +470,8 @@ def instance_probability(family: FamilyLike, l: int, p_d: float, q_x: float,
             * q_x ** n_x * q_y ** n_y * q_z ** n_z)
 
 
-def optimal_instance_probability(family: FamilyLike, l: int, p_d: float,
-                                 layout: Optional[DetectorLayout] = None
-                                 ) -> float:
-    """Match probability at the optimal splitter setting.
-
-    instance_probability at splitter_settings(family, l, layout).  In
-    closed form that is p_d^n_m * p_p^n_p * ((1-p_p)/a)^(n_m-n_p) with
-    p_p = n_p/n_m and a the number of non-preferred detector outputs
-    (1 for the two-detector layout, 2 for three).
-    """
-    return instance_probability(family, l, p_d,
-                                *splitter_settings(family, l, layout))
-
-
 def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
                       min_expected: float = 1.0,
-                      layout: Optional[DetectorLayout] = None,
                       l_cap: int = 10 ** 6) -> int:
     """Largest separation with >= min_expected expected matches in budget.
 
@@ -523,6 +485,7 @@ def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
     if min_expected <= 0.0:
         raise ValueError("min_expected must be > 0")
     return _last_on_grid(
-        lambda l: (optimal_instance_probability(family, l, p_d, layout)
+        lambda l: (instance_probability(family, l, p_d,
+                                        *splitter_settings(family, l))
                    * n_budget >= min_expected),
         l_cap)

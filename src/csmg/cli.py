@@ -6,9 +6,12 @@ field named by their dest, over ``--config FILE`` (simulate and scan) or
 the defaults.  argparse keeps a flag's text; the config-file reader
 reads it as it reads that key's value in a file, so a flag and a file
 line accept the same values and reject a bad one with the same message.
-``report --psigmas`` is read as a config-file list and CSMG_THREADS as a
-config-file integer.  Every value is checked as the RunConfig is built
-and validated.
+Every other flag's text is read by the same reader too: ``report
+--psigmas`` as a config-file list, and ``plan --pd``, ``--budget``,
+``--min-expected``, ``analyze --z``, ``verify --windows`` and
+CSMG_THREADS as config-file numbers, so a bad one exits 2 with the
+config reader's message.  Every field value is checked as the RunConfig
+is built and validated.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 template verification failure.  analyze, plan and report compute
@@ -102,10 +105,9 @@ def _add_template_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=float, default=1e10,
-                   help="photon budget")
-    p.add_argument("--min-expected", dest="min_expected", type=float,
-                   default=1.0, help="required expected matches")
+    p.add_argument("--budget", default="1e10", help="photon budget")
+    p.add_argument("--min-expected", dest="min_expected", default="1.0",
+                   help="required expected matches")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -146,8 +148,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    z = parse_scalar("z", float, args.z)
     estimates = read_estimates_csv(args.estimates)
-    table = direct_bounds(estimates, z=args.z)
+    table = direct_bounds(estimates, z=z)
     fit = None
     xi = None
     if not args.no_fit:
@@ -172,16 +175,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    k = naive_tomography_K(args.pd, args.budget)
-    lines = [f"p_d = {args.pd}, photon budget = {args.budget:g}",
+    p_d = parse_scalar("pd", float, args.pd)
+    budget = parse_scalar("budget", float, args.budget)
+    min_expected = parse_scalar("min_expected", float, args.min_expected)
+    k = naive_tomography_K(p_d, budget)
+    lines = [f"p_d = {p_d}, photon budget = {budget:g}",
              f"tomography baseline: K = {k}"]
     for family in (TemplateFamily.GAMMA1, TemplateFamily.GAMMA2):
-        reach = max_direct_length(family, args.pd, args.budget,
-                                  min_expected=args.min_expected)
+        reach = max_direct_length(family, p_d, budget,
+                                  min_expected=min_expected)
         line = f"{family.value}: direct reach l = {reach}"
         if reach:
             qs = splitter_settings(family, reach)
-            prob = instance_probability(family, reach, args.pd, *qs)
+            prob = instance_probability(family, reach, p_d, *qs)
             line += (f" (p_p = {qs[1]:.4f}, q = ({qs[0]:.4f}, {qs[1]:.4f}, "
                      f"{qs[2]:.4f}), match prob {prob:.3g})")
         lines.append(line)
@@ -191,8 +197,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     templates = _load_config(args).templates()
+    windows = parse_scalar("windows", int, args.windows)
     for template in templates:
-        verify_template(template, windows=args.windows)
+        verify_template(template, windows=windows)
         print(f"ok {template.id} phase +1")
     print(f"verified {len(templates)} templates")
     return 0
@@ -202,10 +209,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     p_sigmas = parse_list("psigmas", args.psigmas, float)
     if not p_sigmas:
         raise ConfigError("psigmas must name at least one rate")
+    budget = parse_scalar("budget", float, args.budget)
+    min_expected = parse_scalar("min_expected", float, args.min_expected)
     p_ds = default_pd_grid()
-    tomo_rows = tomography_rows(p_ds, args.budget)
-    reach_table = reach_rows(p_ds, args.budget,
-                             min_expected=args.min_expected)
+    tomo_rows = tomography_rows(p_ds, budget)
+    reach_table = reach_rows(p_ds, budget, min_expected=min_expected)
     xi_rows = xi_curve_rows(default_pzz_grid(), p_sigmas)
     os.makedirs(args.out_dir, exist_ok=True)
     tomo = os.path.join(args.out_dir, "tomography_baseline.csv")
@@ -228,8 +236,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="emit a click record")
     _add_source_flags(p)
-    p.add_argument("--method", choices=("auto", "table", "frame"),
-                   default="auto", help="simulation path")
+    p.add_argument("--method", choices=("table", "frame"),
+                   default="table", help="simulation path")
     p.add_argument("--out", help="output record path")
     p.set_defaults(func=cmd_simulate)
 
@@ -242,7 +250,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="bounds and rate fit from estimates")
     p.add_argument("estimates", help="estimates CSV from scan")
-    p.add_argument("--z", type=float, default=1.96,
+    p.add_argument("--z", default="1.96",
                    help="haircut in standard errors for conservative bounds")
     p.add_argument("--no-fit", action="store_true",
                    help="skip the error-model fit")
@@ -253,7 +261,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("plan", help="budget calculators for one p_d")
-    p.add_argument("--pd", type=float, required=True,
+    p.add_argument("--pd", required=True,
                    help="detection probability")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_plan)
@@ -263,7 +271,7 @@ def build_parser() -> _Parser:
                    help="largest separation to verify")
     p.add_argument("--families", dest="families", default="Gamma1,Gamma2",
                    help="comma-separated families")
-    p.add_argument("--windows", type=int, default=256,
+    p.add_argument("--windows", default="256",
                    help="simulated windows per template")
     p.set_defaults(func=cmd_verify)
 

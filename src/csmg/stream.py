@@ -507,20 +507,18 @@ def _simulate_frame(cfg: ExperimentConfig, forced: Optional[np.ndarray],
     return events
 
 
-def simulate(cfg: ExperimentConfig, method: str = "auto",
+def simulate(cfg: ExperimentConfig, method: str = "table",
              forced_bases=None, _chunk: int = _CHUNK) -> ClickRecord:
     """Run the source and return its click record.
 
-    ``method`` selects the execution path: "table" is the compiled
-    frontier chain, "frame" drives the stabilizer engine photon by photon,
-    and "auto" picks "table".  Both produce bit-identical records.
+    ``method`` selects the execution path: "table" (the default) is the
+    compiled frontier chain, "frame" drives the stabilizer engine photon
+    by photon.  Both produce bit-identical records.
     ``forced_bases`` replaces the random basis splitter with a fixed
     per-photon schedule (every photon is then detected); used by the
     template self-checks.
     """
     forced = _normalize_forced(forced_bases, cfg.n_photons)
-    if method == "auto":
-        method = "table"
     if method == "table":
         events = _simulate_table(cfg, forced, _chunk)
     elif method == "frame":

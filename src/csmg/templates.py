@@ -148,27 +148,21 @@ def zz_flip_pair_count(template: Template) -> int:
     return flips
 
 
-def _chain_generator(p: int, span: int) -> PauliString:
-    if not 1 <= p <= span - 2:
-        raise ValueError("generator index outside window interior")
-    return PauliString({p - 1: "Z", p: "X", p + 1: "Z"})
-
-
 def template_k_product(template: Template) -> PauliString:
-    """The product of chain generators the template was built from."""
-    l = template.l
-    if template.family is TemplateFamily.GAMMA1:
-        indices: List[int] = []
-        for m in range((l - 2) // 3 + 1):
-            indices += [3 * m + 1, 3 * m + 2]
-    else:
-        indices = [1]
-        for m in range(1, (l - 2) // 3 + 1):
-            indices += [3 * m, 3 * m + 1]
-        indices.append(l + 1)
+    """The chain stabilizer with the template's X part.
+
+    The product of K_p = Z(p-1) X(p) Z(p+1) over the X and Y slots p, in
+    increasing order.  A chain stabilizer carries X or Y exactly on the
+    sites of the generators it is made of, so this is the one stabilizer
+    the template can measure: it does when the product's letters are the
+    slots' and its phase is +1.  The generators are not cut at the window
+    edge, so an X or Y slot there leaves a Z outside the window, which no
+    slot matches.
+    """
     product = PauliString.identity()
-    for p in indices:
-        product = product * _chain_generator(p, template.span)
+    for p, c in template.required:
+        if c in (SLOT_X, SLOT_Y):
+            product = product * PauliString({p - 1: "Z", p: "X", p + 1: "Z"})
     return product
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from csmg.analysis import (
-    DetectorLayout,
     ErrorModelFit,
     TwoQubitMoments,
     concurrence,
@@ -17,8 +16,6 @@ from csmg.analysis import (
     instance_probability,
     max_direct_length,
     naive_tomography_K,
-    optimal_instance_probability,
-    optimal_pp,
     predict_gamma,
     predicted_template_mean,
     rho_tilde_eigenvalues,
@@ -494,7 +491,6 @@ def test_planners_reject_non_finite_budgets(budget):
 
 
 def test_optimal_pp_and_splitter_settings():
-    assert optimal_pp("Gamma1", 8) == pytest.approx(0.75)
     q_x, q_y, q_z = splitter_settings("Gamma1", 8)
     assert q_x == 0.0
     assert q_y == pytest.approx(0.75)
@@ -506,44 +502,43 @@ def test_optimal_pp_and_splitter_settings():
     assert q_x + q_y + q_z == pytest.approx(1.0)
 
 
-def test_gamma2_needs_three_detectors():
-    with pytest.raises(ValueError):
-        splitter_settings("Gamma2", 8, layout=DetectorLayout.TWO_DETECTOR)
-    with pytest.raises(ValueError):
-        optimal_instance_probability("Gamma2", 8,
-                                     p_d=0.5,
-                                     layout=DetectorLayout.TWO_DETECTOR)
-
-
 def test_instance_probability_example():
     # Gamma1(2) = Z Y Y Z at p_d = 1 with the balanced two-detector
     # splitter: (1/2)^4 = 1/16
-    p = optimal_instance_probability("Gamma1", 2, 1.0)
+    p = instance_probability("Gamma1", 2, 1.0,
+                             *splitter_settings("Gamma1", 2))
     assert p == pytest.approx(1 / 16)
     assert instance_probability("Gamma1", 2, 1.0, 0.0, 0.5, 0.5) == \
         pytest.approx(1 / 16)
 
 
 def test_compact_form_equals_general_product():
-    for fam in ("Gamma1", "Gamma2"):
+    # p_d^n_m * p_p^n_p * ((1-p_p)/a)^(n_m-n_p), with p_p = n_p/n_m and a
+    # the number of other bases the family requires
+    for fam, a in (("Gamma1", 1), ("Gamma2", 2)):
         for l in certifiable_lengths(50):
             for p_d in (0.3, 0.9):
                 t = make_template(fam, l)
-                p_p = optimal_pp(fam, l)
-                q = splitter_settings(fam, l, p_p=p_p)
-                general = instance_probability(fam, l, p_d, *q)
-                compact = optimal_instance_probability(fam, l, p_d)
+                n_m, n_p = t.n_measured, t.n_preferred
+                p_p = n_p / n_m
+                compact = (p_d ** n_m * p_p ** n_p
+                           * ((1 - p_p) / a) ** (n_m - n_p))
+                general = instance_probability(
+                    fam, l, p_d, *splitter_settings(fam, l))
                 assert general == pytest.approx(compact, rel=1e-12), (fam, l)
 
 
 def test_optimal_pp_maximizes_instance_probability():
+    # q drawn from the whole simplex, not only the splitter's own line
     rng = np.random.default_rng(47)
-    for fam, l in (("Gamma1", 8), ("Gamma2", 11)):
-        best = optimal_instance_probability(fam, l, 0.6)
-        for _ in range(50):
-            p_p = float(rng.uniform(0.01, 0.99))
-            q = splitter_settings(fam, l, p_p=p_p)
-            assert instance_probability(fam, l, 0.6, *q) <= best * (1 + 1e-12)
+    for fam in ("Gamma1", "Gamma2"):
+        for l in certifiable_lengths(50):
+            best = instance_probability(fam, l, 0.6,
+                                        *splitter_settings(fam, l))
+            for q in rng.dirichlet(np.ones(3), size=50):
+                q = [float(v) for v in q]
+                assert instance_probability(fam, l, 0.6, *q) <= \
+                    best * (1 + 1e-12), (fam, l, q)
 
 
 def test_max_direct_length_pinned_ranges():

@@ -655,6 +655,29 @@ def test_usage_error_exit_code_1():
     assert err.value.code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["plan", "--pd", "abc"], "pd: expected a number, got 'abc'"),
+    (["plan", "--pd", "0.5", "--budget", "x"],
+     "budget: expected a number, got 'x'"),
+    (["report", "--min-expected", "x"],
+     "min_expected: expected a number, got 'x'"),
+    (["analyze", "est.csv", "--z", "abc"], "z: expected a number, got 'abc'"),
+    (["verify", "--lmax", "2", "--windows", "two"],
+     "windows: expected an integer, got 'two'"),
+], ids=["plan-pd", "plan-budget", "report-min-expected", "analyze-z",
+        "verify-windows"])
+def test_non_field_flags_read_by_the_config_reader(tmp_path, monkeypatch,
+                                                   argv, message, capsys):
+    # flags that set no RunConfig field are read as config-file values too
+    monkeypatch.chdir(tmp_path)
+    write_estimates_csv(tmp_path / "est.csv", [
+        CorrelatorEstimate(f"{f}(l={l})", f, l, 500, 400, 0.0)
+        for f in ("Gamma1", "Gamma2") for l in (2, 5, 8)])
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
+
+
 def test_missing_record_exit_code_2(tmp_path):
     assert run(["scan", str(tmp_path / "absent.csmg"), "--l-values",
                 "2"]) == 2

@@ -173,8 +173,9 @@ def test_forced_bases_accepts_integral_values_of_any_numeric_type():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        simulate(_cfg(), method="magic")
+    for method in ("magic", "auto"):
+        with pytest.raises(ValueError, match="unknown method"):
+            simulate(_cfg(), method=method)
 
 
 # ---------------------------------------------------------------------------

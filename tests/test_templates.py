@@ -172,6 +172,27 @@ def test_verify_rejects_corrupted_slots():
         verify_template_stream(bad)
 
 
+def test_algebra_rejects_every_single_slot_change():
+    # the generator product is read from the slots, so it must still catch
+    # a slot changed to any other value, at the window edges too
+    cases = 0
+    for make in (make_gamma1, make_gamma2):
+        for l in (2, 5, 8, 11):
+            t = make(l)
+            for p, old in enumerate(t.slots):
+                for new in (SLOT_FREE, SLOT_X, SLOT_Y, SLOT_Z):
+                    if new == old:
+                        continue
+                    slots = t.slots[:p] + (new,) + t.slots[p + 1:]
+                    bad = Template(family=t.family, l=t.l, slots=slots,
+                                   pair_positions=t.pair_positions,
+                                   phase=t.phase)
+                    with pytest.raises(TemplateVerificationError):
+                        verify_template_algebra(bad)
+                    cases += 1
+    assert cases == 216
+
+
 def test_verify_rejects_wrong_phase():
     t = make_gamma2(2)
     bad = Template(family=t.family, l=t.l, slots=t.slots,
