@@ -22,10 +22,9 @@ from .recordio import (ClickRecord, RecordFormatError, encode_event,
 from .stream import ExperimentConfig, simulate
 from .templates import (CorrelatorEstimate, Template, TemplateFamily,
                         TemplateVerificationError, certifiable_lengths,
-                        make_gamma1, make_gamma2, make_template, scan,
-                        template_k_product, verify_template,
-                        verify_template_algebra, verify_template_stream,
-                        zz_flip_pair_count)
+                        make_template, scan, template_k_product,
+                        verify_template, verify_template_algebra,
+                        verify_template_stream, zz_flip_pair_count)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ __all__ = [
     "certifiable_lengths", "concurrence",
     "direct_bounds", "encode_event", "eof", "eof_from_concurrence",
     "event_basis", "event_outcome", "fit_error_model",
-    "instance_probability", "make_gamma1", "make_gamma2", "make_template",
+    "instance_probability", "make_template",
     "max_direct_length", "naive_tomography_K", "open_record",
     "parse_config",
     "predict_gamma", "predicted_template_mean", "read_config",

@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .templates import (CorrelatorEstimate, Template, TemplateFamily,
-                        make_template, zz_flip_pair_count)
+from .templates import (CorrelatorEstimate, FamilyLike, Template,
+                        TemplateFamily, _checked, slot_counts,
+                        zz_flip_pair_count)
 
 _THIRD = 1.0 / 3.0
-
-FamilyLike = Union[TemplateFamily, str]
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -231,7 +230,7 @@ def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
     exact finite-l law (see predicted_template_mean for the exact one).
     It is the law xi_from_rates thresholds, evaluated by the same code.
     """
-    make_template(family, l)    # rejects an unknown family or l
+    _checked(family, l)
     return _mu_asymptotic(l, *_log_rates(p_sigma, p_zz))
 
 
@@ -309,9 +308,8 @@ def fit_error_model(estimates: Sequence[CorrelatorEstimate]) -> ErrorModelFit:
         if est.match_count == 0 or not est.mean > 0.0:
             dropped.append(est.template_id)
             continue
-        template = make_template(est.family, est.l)
-        xs.append((float(template.n_measured),
-                   float(zz_flip_pair_count(template))))
+        n_x, n_y, n_z, flips = slot_counts(est.family, est.l)
+        xs.append((float(n_x + n_y + n_z), float(flips)))
         ys.append(math.log(est.mean))
         sigma = est.stderr / est.mean
         if sigma <= 0.0:
@@ -445,9 +443,8 @@ def splitter_settings(family: FamilyLike, l: int) -> Tuple[float, float, float]:
     n_m, each of the a other bases the template requires gets
     (1 - p_p) / a, and a basis it never requires gets no detector: 0.
     """
-    template = make_template(family, l)
-    n_x, n_y, n_z = template.basis_counts()
-    p_p = n_y / template.n_measured
+    n_x, n_y, n_z, _ = slot_counts(family, l)
+    p_p = n_y / (n_x + n_y + n_z)
     rest = (1.0 - p_p) / ((n_x > 0) + (n_z > 0))
     return (rest if n_x else 0.0, p_p, rest if n_z else 0.0)
 
@@ -459,14 +456,13 @@ def instance_probability(family: FamilyLike, l: int, p_d: float, q_x: float,
     Product over required slots of p_d times that slot's basis
     probability; free slots cost nothing.
     """
-    template = make_template(family, l)
+    n_x, n_y, n_z, _ = slot_counts(family, l)
     _check_probability("p_d", p_d)
     for name, q in (("q_x", q_x), ("q_y", q_y), ("q_z", q_z)):
         _check_probability(name, q)
     if abs(q_x + q_y + q_z - 1.0) > 1e-9:
         raise ValueError("q_x + q_y + q_z must equal 1")
-    n_x, n_y, n_z = template.basis_counts()
-    return (p_d ** template.n_measured
+    return (p_d ** (n_x + n_y + n_z)
             * q_x ** n_x * q_y ** n_y * q_z ** n_z)
 
 
@@ -478,8 +474,8 @@ def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
     The budget is the number of emitted photons (window offsets); the
     expected match count at separation l is n_budget times the optimal
     per-offset probability, which falls with l, so _last_on_grid finds
-    the reach in O(log l) template builds.  Returns 0 when even l = 2 is
-    out of reach.
+    the reach in O(log l) probes, each of O(1) slot counts.  Returns 0
+    when even l = 2 is out of reach.
     """
     _check_budget(n_budget)
     if min_expected <= 0.0:

@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import (ErrorModelFit, LEBoundTable, TemplateFamily,
                        XiEstimate, max_direct_length, naive_tomography_K,
                        xi_from_rates)
-from .templates import CorrelatorEstimate, make_template
+from .templates import CorrelatorEstimate, template_id
 
 ESTIMATE_COLUMNS = ("template", "l", "n_matches", "signed_sum", "mean",
                     "stderr", "overlap_fraction")
@@ -60,18 +60,19 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
                 continue
             if len(row) != len(ESTIMATE_COLUMNS):
                 raise ValueError(f"{path}: bad estimates row {row}")
-            template_id = row[0]
-            if template_id in seen:
+            row_id = row[0]
+            if row_id in seen:
                 raise ValueError(f"{path}: repeated template in estimates "
                                  f"row {row}")
-            seen.add(template_id)
-            family = template_id.split("(", 1)[0]
+            seen.add(row_id)
+            family = row_id.split("(", 1)[0]
             try:
-                template = make_template(family, int(row[1]))
+                l = int(row[1])
+                named = template_id(family, l)
                 est = CorrelatorEstimate(
-                    template_id=template_id,
+                    template_id=row_id,
                     family=family,
-                    l=template.l,
+                    l=l,
                     match_count=int(row[2]),
                     signed_sum=int(row[3]),
                     overlap_fraction=float(row[6]),
@@ -80,8 +81,8 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
                 raise ValueError(
                     f"{path}: {exc} in estimates row {row}") from None
             # the id names (family, l), so a repeated (family, l) repeats it
-            problem = (f"template id that does not name l = {est.l}"
-                       if template_id != template.id
+            problem = (f"template id that does not name l = {l}"
+                       if row_id != named
                        else _estimate_problem(est))
             if problem:
                 raise ValueError(f"{path}: {problem} in estimates row {row}")
@@ -177,14 +178,10 @@ def write_tomography_csv(path: str, rows: Sequence[Tuple[float, int]]) -> None:
 
 def reach_rows(p_ds: Iterable[float], n_budget: float,
                min_expected: float = 1.0) -> List[Tuple[float, int, int]]:
-    rows = []
-    for p_d in p_ds:
-        l1 = max_direct_length(TemplateFamily.GAMMA1, p_d, n_budget,
-                               min_expected=min_expected)
-        l2 = max_direct_length(TemplateFamily.GAMMA2, p_d, n_budget,
-                               min_expected=min_expected)
-        rows.append((p_d, l1, l2))
-    return rows
+    return [(p_d, *(max_direct_length(family, p_d, n_budget,
+                                      min_expected=min_expected)
+                    for family in TemplateFamily))
+            for p_d in p_ds]
 
 
 def write_reach_csv(path: str, rows: Sequence[Tuple[float, int, int]]) -> None:

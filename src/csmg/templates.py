@@ -44,6 +44,13 @@ class TemplateFamily(Enum):
     GAMMA2 = "Gamma2"
 
 
+FamilyLike = Union[TemplateFamily, str]
+# A family's slots are head + period * k + tail with k = (l - 2) / 3, and
+# its certified pair is slots (first, first + l):  head, period, tail, first
+_FORMS = {TemplateFamily.GAMMA1: ("ZYY", "_YY", "Z", 0),
+          TemplateFamily.GAMMA2: ("ZX", "_YY", "_XZ", 1)}
+
+
 class TemplateVerificationError(Exception):
     """A template failed its algebraic or simulated self-check."""
 
@@ -57,6 +64,38 @@ def _check_length(l: int) -> None:
     if l < 2 or l % 3 != 2:
         raise ValueError(f"separation {l} is not supported "
                          f"(need l >= 2, l = 2 mod 3)")
+
+
+def _checked(family: FamilyLike, l: int) -> TemplateFamily:
+    """The family as a TemplateFamily; rejects an unknown family or l."""
+    family = TemplateFamily(family)
+    _check_length(l)
+    return family
+
+
+def _pattern_counts(pattern: str) -> Tuple[int, int, int, int]:
+    """(#X, #Y, #Z, flip-sensitive pairs) of a slot pattern.  A pair error
+    Z(i)Z(i+1) flips a matched window's sign exactly when one of the two
+    photons sits on an X or Y slot and the other does not (a Z or free
+    slot, or a photon outside the window)."""
+    anti = [c in "XY" for c in f"_{pattern}_"]
+    return (pattern.count("X"), pattern.count("Y"), pattern.count("Z"),
+            sum(a != b for a, b in zip(anti, anti[1:])))
+
+
+def slot_counts(family: FamilyLike, l: int) -> Tuple[int, int, int, int]:
+    """(#X, #Y, #Z, flip-sensitive pairs) of the family's template at l,
+    in O(1): each count is affine in the number k of periods, so it is read
+    off the two shortest patterns, k = 0 and 1, and no template is built."""
+    head, period, tail, _ = _FORMS[_checked(family, l)]
+    c0, c1 = _pattern_counts(head + tail), _pattern_counts(head + period + tail)
+    k = (l - 2) // 3
+    return tuple(a + k * (b - a) for a, b in zip(c0, c1))
+
+
+def template_id(family: FamilyLike, l: int) -> str:
+    """``make_template(family, l).id``, without building the template."""
+    return f"{_checked(family, l).value}(l={l})"
 
 
 @dataclass(frozen=True)
@@ -77,7 +116,7 @@ class Template:
 
     @property
     def id(self) -> str:
-        return f"{self.family.value}(l={self.l})"
+        return template_id(self.family, self.l)
 
     @property
     def span(self) -> int:
@@ -95,57 +134,25 @@ class Template:
     def n_measured(self) -> int:
         return len(self.slots) - self.slots.count(SLOT_FREE)
 
-    @property
-    def n_preferred(self) -> int:
-        return self.slots.count(SLOT_Y)
-
     def basis_counts(self) -> Tuple[int, int, int]:
         """(#X, #Y, #Z) detections one matched window consumes."""
-        return (self.slots.count(SLOT_X),
-                self.slots.count(SLOT_Y),
-                self.slots.count(SLOT_Z))
+        return _pattern_counts(self.pattern)[:3]
 
     def __str__(self) -> str:
         return f"{self.id} {self.pattern}"
 
 
-def make_gamma1(l: int) -> Template:
-    _check_length(l)
-    slots = [SLOT_Z]
-    slots += [SLOT_FREE if p % 3 == 0 else SLOT_Y for p in range(1, l + 1)]
-    slots.append(SLOT_Z)
-    return Template(TemplateFamily.GAMMA1, l, tuple(slots), (0, l))
-
-
-def make_gamma2(l: int) -> Template:
-    _check_length(l)
-    slots = [SLOT_Z, SLOT_X]
-    slots += [SLOT_FREE if p % 3 == 2 else SLOT_Y for p in range(2, l + 1)]
-    slots += [SLOT_X, SLOT_Z]
-    return Template(TemplateFamily.GAMMA2, l, tuple(slots), (1, l + 1))
-
-
-def make_template(family: Union[TemplateFamily, str], l: int) -> Template:
-    if not isinstance(family, TemplateFamily):
-        family = TemplateFamily(family)
-    if family is TemplateFamily.GAMMA1:
-        return make_gamma1(l)
-    return make_gamma2(l)
+def make_template(family: FamilyLike, l: int) -> Template:
+    family = _checked(family, l)
+    head, period, tail, first = _FORMS[family]
+    pattern = head + period * ((l - 2) // 3) + tail
+    return Template(family, l, tuple(map(_SLOT_NAMES.index, pattern)),
+                    (first, first + l))
 
 
 def zz_flip_pair_count(template: Template) -> int:
-    """Adjacent emission pairs whose Z(i)Z(i+1) error flips the product.
-
-    A pair error flips a matched window's sign exactly when one of the two
-    touched slots anticommutes with Z (an X or Y slot) and the other does
-    not (a Z slot, a free slot, or a photon outside the window).
-    """
-    padded = (SLOT_FREE,) + template.slots + (SLOT_FREE,)
-    flips = 0
-    for a, b in zip(padded, padded[1:]):
-        if (a in (SLOT_X, SLOT_Y)) != (b in (SLOT_X, SLOT_Y)):
-            flips += 1
-    return flips
+    """Adjacent emission pairs whose Z(i)Z(i+1) error flips the product."""
+    return _pattern_counts(template.pattern)[3]
 
 
 def template_k_product(template: Template) -> PauliString:

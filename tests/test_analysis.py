@@ -209,6 +209,10 @@ def test_predict_gamma_examples():
         predict_gamma("Gamma1", 2, 0.76, 0.0)
     with pytest.raises(ValueError):
         predict_gamma("Gamma1", 2, 0.0, 0.51)
+    with pytest.raises(ValueError, match="not a valid TemplateFamily"):
+        predict_gamma("Gamma3", 2, 0.0, 0.0)
+    with pytest.raises(ValueError, match="separation 3 is not supported"):
+        predict_gamma("Gamma2", 3, 0.0, 0.0)
 
 
 def test_predicted_template_mean_uses_integer_exponents():
@@ -519,7 +523,7 @@ def test_compact_form_equals_general_product():
         for l in certifiable_lengths(50):
             for p_d in (0.3, 0.9):
                 t = make_template(fam, l)
-                n_m, n_p = t.n_measured, t.n_preferred
+                n_m, n_p = t.n_measured, t.basis_counts()[1]
                 p_p = n_p / n_m
                 compact = (p_d ** n_m * p_p ** n_p
                            * ((1 - p_p) / a) ** (n_m - n_p))
@@ -551,17 +555,26 @@ def test_max_direct_length_pinned_ranges():
 
 
 def test_max_direct_length_builds_few_templates(monkeypatch):
-    # the reach is found by a search over the grid, not by building every
-    # template up to it; the count fails first where the walk is per l
-    budget = _CallBudget(monkeypatch, "make_template")
-    budget.allow(200)
-    assert max_direct_length("Gamma1", 1.0, 1e8) == 11033
-    budget.allow(200)
-    assert max_direct_length("Gamma2", 1.0, 1e8) == 107
-    budget.allow(200)
-    assert max_direct_length("Gamma1", 1.0, 1e10) == 110360
-    budget.allow(200)
-    assert max_direct_length("Gamma2", 1.0, 1e10) == 347
+    # the reach is found by a search over the grid, not by counting every
+    # l up to it; the count fails first where the walk is per l.  Every
+    # probe reads its counts off the family's two base patterns (head +
+    # tail and head + period + tail), so no longer pattern is ever counted
+    import csmg.templates as templates
+    counted = []
+    real = templates._pattern_counts
+    monkeypatch.setattr(templates, "_pattern_counts",
+                        lambda pattern: counted.append(pattern)
+                        or real(pattern))
+    budget = _CallBudget(monkeypatch, "slot_counts")
+    for family, n_budget, reach in (("Gamma1", 1e8, 11033),
+                                    ("Gamma2", 1e8, 107),
+                                    ("Gamma1", 1e10, 110360),
+                                    ("Gamma2", 1e10, 347)):
+        budget.allow(200)
+        counted.clear()
+        assert max_direct_length(family, 1.0, n_budget) == reach
+        assert len(set(counted)) <= 2, (family, set(counted))
+        assert max(map(len, counted)) <= 8
 
 
 def test_max_direct_length_monotone_in_detection():

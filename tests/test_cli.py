@@ -20,7 +20,7 @@ from csmg.config import (
 from csmg.recordio import ClickRecord, open_record, write_record
 from csmg.reports import read_estimates_csv, write_estimates_csv
 from csmg.stream import ExperimentConfig
-from csmg.templates import (CorrelatorEstimate, make_gamma1, scan,
+from csmg.templates import (CorrelatorEstimate, make_template, scan,
                             verify_template_stream)
 
 from helpers import events_from_text
@@ -460,7 +460,7 @@ def test_scan_respects_config_file_with_flag_override(tmp_path):
     assert [r[0] for r in rows[1:]] == ["Gamma1(l=2)"]
     # greedy from the flag must beat the config file's "all"
     rec = open_record(rec_path)
-    greedy = scan(rec, [make_gamma1(2)], mode="greedy")[0]
+    greedy = scan(rec, [make_template("Gamma1", 2)], mode="greedy")[0]
     assert int(rows[1][2]) == greedy.match_count
 
 
@@ -530,6 +530,33 @@ def test_analyze_no_fit_skips_rates(tmp_path):
     assert summary["direct"]["xi_e"] == 2
 
 
+def test_analyze_fits_rows_at_huge_separations(tmp_path, monkeypatch):
+    # the reader checks a row's id and the fit reads its exponents from the
+    # family's form in O(1), so a row at l = 300 000 002 builds no template
+    import csmg.analysis
+    import csmg.reports
+    import csmg.templates
+
+    def refuse(family, l):
+        raise AssertionError(f"built the {family} template at l = {l}")
+
+    for module in (csmg.templates, csmg.analysis, csmg.reports):
+        monkeypatch.setattr(module, "make_template", refuse, raising=False)
+    huge = 300_000_002
+    est_path = tmp_path / "est.csv"
+    write_estimates_csv(est_path, [
+        CorrelatorEstimate(f"{f}(l={l})", f, l, 1000, signed, 0.0)
+        for f in ("Gamma1", "Gamma2")
+        for l, signed in ((2, 900), (5, 800), (8, 700), (huge, 10))])
+    assert [e.l for e in read_estimates_csv(est_path)][3::4] == [huge, huge]
+    bounds, summary = tmp_path / "b.csv", tmp_path / "s.json"
+    assert run(["analyze", str(est_path), "--out-bounds", str(bounds),
+                "--out-summary", str(summary)]) == 0
+    assert [r[0] for r in _read_csv(bounds)[1:]] == ["2", "5", "8", str(huge)]
+    fit = json.loads(summary.read_text())["fit"]
+    assert (fit["n_points"], fit["dropped"]) == (8, [])
+
+
 # ---------------------------------------------------------------------------
 # plan / verify / report.
 
@@ -583,7 +610,8 @@ def test_verify_windows_below_one_exit_code_2(windows, capsys):
     assert run(["verify", "--lmax", "2", f"--windows={windows}"]) == 2
     assert capsys.readouterr().err == "error: windows must be >= 1\n"
     with pytest.raises(ValueError, match="windows must be >= 1"):
-        verify_template_stream(make_gamma1(2), windows=int(windows))
+        verify_template_stream(make_template("Gamma1", 2),
+                               windows=int(windows))
 
 
 def test_verify_failure_exit_code(monkeypatch):

@@ -18,10 +18,9 @@ from csmg.templates import (
     TemplateFamily,
     TemplateVerificationError,
     certifiable_lengths,
-    make_gamma1,
-    make_gamma2,
     make_template,
     scan,
+    slot_counts,
     template_k_product,
     verify_template,
     verify_template_algebra,
@@ -52,34 +51,34 @@ def test_certifiable_lengths_grid():
 
 
 def test_gamma1_layouts():
-    t = make_gamma1(2)
+    t = make_template("Gamma1", 2)
     assert t.pattern == "ZYYZ"
     assert t.pair_positions == (0, 2)
-    assert (t.span, t.n_measured, t.n_preferred) == (4, 4, 2)
-    t = make_gamma1(8)
+    assert (t.span, t.n_measured, t.basis_counts()[1]) == (4, 4, 2)
+    t = make_template("Gamma1", 8)
     assert t.pattern == "ZYY_YY_YYZ"
     assert t.pair_positions == (0, 8)
-    assert (t.span, t.n_measured, t.n_preferred) == (10, 8, 6)
+    assert (t.span, t.n_measured, t.basis_counts()[1]) == (10, 8, 6)
 
 
 def test_gamma2_layouts():
-    t = make_gamma2(2)
+    t = make_template("Gamma2", 2)
     assert t.pattern == "ZX_XZ"
     assert t.pair_positions == (1, 3)
-    assert (t.span, t.n_measured, t.n_preferred) == (5, 4, 0)
-    t = make_gamma2(8)
+    assert (t.span, t.n_measured, t.basis_counts()[1]) == (5, 4, 0)
+    t = make_template("Gamma2", 8)
     assert t.pattern == "ZX_YY_YY_XZ"
     assert t.pair_positions == (1, 9)
-    assert (t.span, t.n_measured, t.n_preferred) == (11, 8, 4)
+    assert (t.span, t.n_measured, t.basis_counts()[1]) == (11, 8, 4)
 
 
 def test_measured_count_formulas():
     for l in certifiable_lengths(50):
-        g1, g2 = make_gamma1(l), make_gamma2(l)
+        g1, g2 = make_template("Gamma1", l), make_template("Gamma2", l)
         assert g1.n_measured == (2 * l + 8) // 3
         assert g2.n_measured == (2 * l + 8) // 3
-        assert g1.n_preferred == (2 * l + 2) // 3
-        assert g2.n_preferred == max(0, (2 * l - 4) // 3)
+        assert g1.basis_counts()[1] == (2 * l + 2) // 3
+        assert g2.basis_counts()[1] == max(0, (2 * l - 4) // 3)
         assert g1.span == l + 2
         assert g2.span == l + 3
         # the certified pair sits exactly l emission steps apart
@@ -91,30 +90,45 @@ def test_measured_count_formulas():
 
 
 def test_measured_count_is_the_slot_walk():
-    # n_measured counts the free slots; its definition walks every slot
+    # each family's published form is head + period^k + tail, k = (l-2)/3;
+    # n_measured, the counts of the built template and the O(1) counts of
+    # slot_counts must all equal a walk over every slot of the template
+    forms = {"Gamma1": ("ZYY", "_YY", "Z"), "Gamma2": ("ZX", "_YY", "_XZ")}
     for l in certifiable_lengths(3002):
-        for t in (make_gamma1(l), make_gamma2(l)):
+        for fam, (head, period, tail) in forms.items():
+            t = make_template(fam, l)
+            assert t.pattern == head + period * ((l - 2) // 3) + tail
             assert t.n_measured == sum(1 for c in t.slots if c != SLOT_FREE)
+            anti = [c in (SLOT_X, SLOT_Y)
+                    for c in (SLOT_FREE,) + t.slots + (SLOT_FREE,)]
+            walk = (sum(1 for c in t.slots if c == SLOT_X),
+                    sum(1 for c in t.slots if c == SLOT_Y),
+                    sum(1 for c in t.slots if c == SLOT_Z),
+                    sum(1 for a, b in zip(anti, anti[1:]) if a != b))
+            assert (*t.basis_counts(), zz_flip_pair_count(t)) == walk
+            assert slot_counts(fam, l) == walk, (fam, l)
 
 
 def test_off_grid_lengths_rejected():
     for l in (-1, 0, 1, 3, 4, 6, 7, 9):
-        with pytest.raises(ValueError):
-            make_gamma1(l)
-        with pytest.raises(ValueError):
-            make_gamma2(l)
+        for fam in ("Gamma1", "Gamma2"):
+            for build in (make_template, slot_counts):
+                with pytest.raises(ValueError, match="not supported"):
+                    build(fam, l)
 
 
 def test_make_template_accepts_family_spellings():
-    assert make_template("Gamma1", 5) == make_gamma1(5)
-    assert make_template(TemplateFamily.GAMMA2, 5) == make_gamma2(5)
-    with pytest.raises(ValueError):
-        make_template("Gamma3", 5)
+    for family in TemplateFamily:
+        assert make_template(family.value, 5) == make_template(family, 5)
+        assert make_template(family, 5).family is family
+    for build in (make_template, slot_counts):
+        with pytest.raises(ValueError, match="not a valid TemplateFamily"):
+            build("Gamma3", 5)
 
 
 def test_basis_counts():
-    assert make_gamma1(8).basis_counts() == (0, 6, 2)
-    assert make_gamma2(8).basis_counts() == (2, 4, 2)
+    assert make_template("Gamma1", 8).basis_counts() == (0, 6, 2)
+    assert make_template("Gamma2", 8).basis_counts() == (2, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +137,8 @@ def test_basis_counts():
 
 def test_k_product_matches_slots_on_the_grid():
     for l in certifiable_lengths(50):
-        for make in (make_gamma1, make_gamma2):
-            t = make(l)
+        for fam in ("Gamma1", "Gamma2"):
+            t = make_template(fam, l)
             prod = template_k_product(t)
             assert prod.phase == 1
             letters = {site: lt.value for site, lt in prod.letters.items()}
@@ -157,12 +171,12 @@ def test_k_product_matches_dense_generator_matrices():
 
 def test_verify_template_accepts_grid():
     for l in (2, 5, 8):
-        verify_template(make_gamma1(l))
-        verify_template(make_gamma2(l))
+        verify_template(make_template("Gamma1", l))
+        verify_template(make_template("Gamma2", l))
 
 
 def test_verify_rejects_corrupted_slots():
-    t = make_gamma1(2)
+    t = make_template("Gamma1", 2)
     bad = Template(family=t.family, l=t.l,
                    slots=(SLOT_Z, SLOT_Y, SLOT_X, SLOT_Z),
                    pair_positions=t.pair_positions, phase=t.phase)
@@ -176,9 +190,9 @@ def test_algebra_rejects_every_single_slot_change():
     # the generator product is read from the slots, so it must still catch
     # a slot changed to any other value, at the window edges too
     cases = 0
-    for make in (make_gamma1, make_gamma2):
+    for fam in ("Gamma1", "Gamma2"):
         for l in (2, 5, 8, 11):
-            t = make(l)
+            t = make_template(fam, l)
             for p, old in enumerate(t.slots):
                 for new in (SLOT_FREE, SLOT_X, SLOT_Y, SLOT_Z):
                     if new == old:
@@ -194,7 +208,7 @@ def test_algebra_rejects_every_single_slot_change():
 
 
 def test_verify_rejects_wrong_phase():
-    t = make_gamma2(2)
+    t = make_template("Gamma2", 2)
     bad = Template(family=t.family, l=t.l, slots=t.slots,
                    pair_positions=t.pair_positions, phase=-1)
     with pytest.raises(TemplateVerificationError):
@@ -204,13 +218,14 @@ def test_verify_rejects_wrong_phase():
 def test_zz_flip_pair_counts():
     # hand count for Gamma1(2) = Z Y Y Z: flipping boundaries are the
     # (Z,Y) and (Y,Z) steps, the (Y,Y) interior and both edges commute
-    assert zz_flip_pair_count(make_gamma1(2)) == 2
-    assert zz_flip_pair_count(make_gamma2(2)) == 4
-    assert zz_flip_pair_count(make_gamma1(5)) == 4
-    assert zz_flip_pair_count(make_gamma2(5)) == 6
+    assert zz_flip_pair_count(make_template("Gamma1", 2)) == 2
+    assert zz_flip_pair_count(make_template("Gamma2", 2)) == 4
+    assert zz_flip_pair_count(make_template("Gamma1", 5)) == 4
+    assert zz_flip_pair_count(make_template("Gamma2", 5)) == 6
     for l in certifiable_lengths(50):
-        assert zz_flip_pair_count(make_gamma1(l)) == (2 * l + 2) // 3
-        assert zz_flip_pair_count(make_gamma2(l)) == (2 * l + 8) // 3
+        g1, g2 = make_template("Gamma1", l), make_template("Gamma2", l)
+        assert zz_flip_pair_count(g1) == (2 * l + 2) // 3
+        assert zz_flip_pair_count(g2) == (2 * l + 8) // 3
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +234,7 @@ def test_zz_flip_pair_counts():
 
 def test_scan_single_perfect_window():
     rec = _record(bytes([0x06, 0x04, 0x04, 0x06]))
-    est = scan(rec, [make_gamma1(2)])[0]
+    est = scan(rec, [make_template("Gamma1", 2)])[0]
     assert (est.match_count, est.signed_sum) == (1, 1)
     assert est.mean == 1.0
     assert est.overlap_fraction == 0.0
@@ -227,16 +242,16 @@ def test_scan_single_perfect_window():
 
 def test_scan_sign_of_window_product():
     rec = _record(events_from_text("Z+ Y+ Y- Z+"))
-    est = scan(rec, [make_gamma1(2)])[0]
+    est = scan(rec, [make_template("Gamma1", 2)])[0]
     assert (est.match_count, est.signed_sum) == (1, -1)
     rec = _record(events_from_text("Z- Y+ Y- Z+"))
-    est = scan(rec, [make_gamma1(2)])[0]
+    est = scan(rec, [make_template("Gamma1", 2)])[0]
     assert (est.match_count, est.signed_sum) == (1, 1)
 
 
 def test_scan_requires_exact_bases():
     rec = _record(events_from_text("Z+ X+ Y+ Z+"))
-    est = scan(rec, [make_gamma1(2)])[0]
+    est = scan(rec, [make_template("Gamma1", 2)])[0]
     assert est.match_count == 0
     assert np.isnan(est.mean)
     assert np.isinf(est.stderr)
@@ -245,18 +260,18 @@ def test_scan_requires_exact_bases():
 def test_scan_free_slot_ignores_anything():
     for middle in ("X-", "Y+", "Z-", "L"):
         rec = _record(events_from_text(f"Z+ X+ {middle} X+ Z+"))
-        est = scan(rec, [make_gamma2(2)])[0]
+        est = scan(rec, [make_template("Gamma2", 2)])[0]
         assert (est.match_count, est.signed_sum) == (1, 1), middle
 
 
 def test_scan_lost_photon_breaks_required_slot():
     rec = _record(events_from_text("Z+ L Y+ Z+"))
-    assert scan(rec, [make_gamma1(2)])[0].match_count == 0
+    assert scan(rec, [make_template("Gamma1", 2)])[0].match_count == 0
 
 
 def test_scan_all_vs_greedy_on_overlap():
     rec = _record(events_from_text("Z+ Y+ Y+ Z+ Y+ Y+ Z+"))
-    t = make_gamma1(2)
+    t = make_template("Gamma1", 2)
     est_all = scan(rec, [t], mode="all")[0]
     assert (est_all.match_count, est_all.signed_sum) == (2, 2)
     assert est_all.overlap_fraction == pytest.approx(0.5)
@@ -268,7 +283,7 @@ def test_scan_all_vs_greedy_on_overlap():
 def test_scan_burn_in_skips_leading_photons():
     events = events_from_text("Z+ Y+ Y+ Z+ " * 3)
     rec = _record(events, burn_in=1)
-    t = make_gamma1(2)
+    t = make_template("Gamma1", 2)
     # record burn-in: offsets 0..len-4 shift to start at photon 1
     est = scan(rec, [t])[0]
     ref = reference_scan(np.frombuffer(events, np.uint8), t, burn_in=1)
@@ -280,7 +295,7 @@ def test_scan_burn_in_skips_leading_photons():
 
 def test_scan_stride_anchored_at_burn_in():
     events = events_from_text("Z+ Y+ Y+ Z+ " * 6)
-    t = make_gamma1(2)
+    t = make_template("Gamma1", 2)
     for burn_in in (0, 1, 2):
         for stride in (1, 2, 3, 4, 5):
             est = scan(_record(events, burn_in=burn_in), [t],
@@ -297,7 +312,8 @@ def test_scan_matches_reference_on_random_records():
                      dtype=np.uint8)
     # bias towards Z/Y so matches actually occur
     weights = np.array([0.1, 0.05, 0.05, 0.25, 0.15, 0.25, 0.15])
-    templates = [make_gamma1(2), make_gamma2(2), make_gamma1(5)]
+    templates = [make_template(f, l)
+                 for f, l in (("Gamma1", 2), ("Gamma2", 2), ("Gamma1", 5))]
     for trial in range(30):
         events = rng.choice(valid, size=400, p=weights)
         burn_in = int(rng.integers(0, 3))
@@ -319,7 +335,7 @@ def test_scan_greedy_matches_reference_across_chunks():
     weights = np.array([0.1, 0.05, 0.05, 0.25, 0.15, 0.25, 0.15])
     events = rng.choice(valid, size=3000, p=weights)
     rec = _record(events.tobytes())
-    for t in (make_gamma1(2), make_gamma2(5)):
+    for t in (make_template("Gamma1", 2), make_template("Gamma2", 5)):
         want = reference_scan(events, t, mode="greedy")[:2]
         for chunk in (17, 64, 501, 4096):
             est = scan(rec, [t], mode="greedy", chunk_size=chunk)[0]
@@ -351,7 +367,7 @@ def test_scan_threads_with_greedy_fall_back_to_sequential():
     # documented to run it sequentially with identical results
     events = events_from_text("Z+ Y+ Y+ Z+ Y+ Y+ Z+ " * 5)
     rec = _record(events)
-    t = make_gamma1(2)
+    t = make_template("Gamma1", 2)
     seq = scan(rec, [t], mode="greedy")[0]
     par = scan(rec, [t], mode="greedy", threads=4)[0]
     assert (par.match_count, par.signed_sum) == (seq.match_count,
@@ -361,7 +377,7 @@ def test_scan_threads_with_greedy_fall_back_to_sequential():
 def test_scan_unknown_mode_rejected():
     rec = _record(events_from_text("Z+ Y+ Y+ Z+"))
     with pytest.raises(ValueError):
-        scan(rec, [make_gamma1(2)], mode="eager")
+        scan(rec, [make_template("Gamma1", 2)], mode="eager")
 
 
 def test_match_rate_follows_instance_probability():
@@ -393,10 +409,11 @@ def test_estimate_mean_and_stderr():
 def test_scan_rejects_negative_burn_in():
     # with any thread count, a negative start would index from the end
     rec = _record(events_from_text("Z+ Y+ Y+ Z+ " * 50))
-    assert scan(rec, [make_gamma1(2)], burn_in=0)[0].match_count == 50
+    t = make_template("Gamma1", 2)
+    assert scan(rec, [t], burn_in=0)[0].match_count == 50
     for threads in (1, 2):
         with pytest.raises(ValueError, match="burn_in"):
-            scan(rec, [make_gamma1(2)], burn_in=-1, threads=threads)
+            scan(rec, [t], burn_in=-1, threads=threads)
 
 
 def test_scan_shares_template_prefixes():
@@ -418,7 +435,7 @@ def test_scan_shares_template_prefixes():
 
 def test_scan_walks_a_deep_trie_without_recursion():
     # Gamma1(1502) has 1004 required slots, one trie level each
-    templates = [make_gamma1(1502), make_gamma2(1502)]
+    templates = [make_template("Gamma1", 1502), make_template("Gamma2", 1502)]
     assert templates[0].n_measured == 1004
     rng = np.random.default_rng(33)
     events = np.concatenate([
@@ -566,10 +583,10 @@ def test_scan_ends_subtrees_that_keep_no_start(monkeypatch):
     monkeypatch.setattr(templates_module, "_consume_block", spy)
     got = scan(record, templates, chunk_size=1 << 14)
     assert [c for c in calls if c[1] == 0] == []
-    assert make_gamma1(50).span == 52
+    assert make_template("Gamma1", 50).span == 52
     assert [c for c in calls if c[0] == 52] == []
     assert sum(n for _, n in calls) == sum(e.match_count for e in got) > 0
-    assert got[templates.index(make_gamma1(50))].match_count == 0
+    assert got[templates.index(make_template("Gamma1", 50))].match_count == 0
 
 
 @st.composite
@@ -638,23 +655,24 @@ def test_greedy_carry_crosses_blocks_whose_subtree_was_ended(chunk_size):
     # blocks inside the first window hold no start of a second one, so
     # the walk ends there, yet the first window's greedy carry still
     # skips the window that overlaps it by its closing Z
-    long = make_gamma1(20)
+    long = make_template("Gamma1", 20)
     events = _tiled_windows(long, 3, 7, 10)
     want = [(7, 7 + 21, 7 + 42), (7, 7 + 42)]
     for mode, starts in zip(("all", "greedy"), want):
         assert reference_scan(events, long, mode=mode)[2] == list(starts)
-        _check_against_reference((events, [long, make_gamma2(5)], dict(
-            mode=mode, stride=1, burn_in=0, chunk_size=chunk_size,
-            threads=1)))
+        _check_against_reference((
+            events, [long, make_template("Gamma2", 5)],
+            dict(mode=mode, stride=1, burn_in=0, chunk_size=chunk_size,
+                 threads=1)))
 
 
 @pytest.mark.parametrize("chunk_size", [3, 9, 25])
 def test_dense_node_without_survivors_in_the_padded_last_block(chunk_size):
     # the lost tail leaves the last, padded blocks with no start whose
     # first photon is a Z: the root's child is a dense mask of zeros there
-    long = make_gamma2(14)
+    long = make_template("Gamma2", 14)
     events = _tiled_windows(long, 2, 0, 40)
-    templates = [long, make_gamma1(2)]
+    templates = [long, make_template("Gamma1", 2)]
     for mode in ("all", "greedy"):
         for threads in (1, 2):
             _check_against_reference((events, templates, dict(
