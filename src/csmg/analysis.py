@@ -28,21 +28,20 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def _last_on_grid(holds: Callable[[int], bool],
-                  l_cap: Optional[int] = None) -> int:
-    """Largest l = 2 (mod 3), at most l_cap, at which holds(l) is true.
+def _last_on_grid(holds: Callable[[int], bool]) -> int:
+    """Largest l = 2 (mod 3) at which holds(l) is true.
 
     holds must be true up to some l and false beyond it, as a bar on a
     quantity that falls with l is.  Gallops up from l = 2, then bisects,
-    so holds is called O(log l) times.  0 when holds(2) is false.
+    so holds is called O(log l) times.  0 when holds(2) is false.  l has
+    no cap, so holds must turn false at some finite l: a probability or a
+    mean that falls with l reaches 0 in floating point.
     """
-    k_cap = math.inf if l_cap is None else (l_cap - 2) // 3
-    if k_cap < 0 or not holds(2):
+    if not holds(2):
         return 0
     lo, hi = 0, 1                   # grid indices k of l = 3k + 2
-    while hi <= k_cap and holds(3 * hi + 2):
+    while holds(3 * hi + 2):
         lo, hi = hi, 2 * hi
-    hi = min(hi, k_cap + 1)         # fails, or lies past the cap
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if holds(3 * mid + 2) else (lo, mid)
@@ -88,18 +87,23 @@ def rho_tilde_eigenvalues(m: TwoQubitMoments) -> np.ndarray:
     return np.sort(np.asarray(eigs))[::-1]
 
 
-def _clamped_spectrum(m: TwoQubitMoments,
-                      tol: float = 1e-9) -> Tuple[np.ndarray, bool]:
+# a spectrum entry below -_CLAMP_TOL is more than rounding: the moments
+# describe no state, and the bound row says so
+_CLAMP_TOL = 1e-9
+
+
+def _concurrence_and_clamped(m: TwoQubitMoments) -> Tuple[float, bool]:
+    """The concurrence, and whether clamping the spectrum removed more
+    than rounding."""
     eigs = rho_tilde_eigenvalues(m)
-    clamped = bool(eigs[-1] < -tol)
+    clamped = bool(eigs[-1] < -_CLAMP_TOL)
     eigs = np.clip(eigs, 0.0, None)
-    return eigs / eigs.sum(), clamped
+    return max(0.0, 2.0 * float((eigs / eigs.sum())[0]) - 1.0), clamped
 
 
-def concurrence(m: TwoQubitMoments, tol: float = 1e-9) -> float:
+def concurrence(m: TwoQubitMoments) -> float:
     """max(0, 2*lambda_max - 1) on the clamped, renormalized spectrum."""
-    eigs, _ = _clamped_spectrum(m, tol)
-    return max(0.0, 2.0 * float(eigs[0]) - 1.0)
+    return _concurrence_and_clamped(m)[0]
 
 
 def eof_from_concurrence(c: float) -> float:
@@ -114,8 +118,8 @@ def eof_from_concurrence(c: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def eof(m: TwoQubitMoments, tol: float = 1e-9) -> float:
-    return eof_from_concurrence(concurrence(m, tol))
+def eof(m: TwoQubitMoments) -> float:
+    return eof_from_concurrence(concurrence(m))
 
 
 # ---------------------------------------------------------------------------
@@ -144,55 +148,47 @@ def _clip_unit(v: float) -> float:
 
 
 def direct_bounds(estimates: Sequence[CorrelatorEstimate],
-                  ls: Optional[Sequence[int]] = None,
                   z: float = 1.96) -> LEBoundTable:
     """Per-separation lower bounds on localizable entanglement.
 
-    For each l, sets mu_yz = mu_zy = mean of the two-basis template and
-    mu_xx = mean of the three-basis one, then reports the central bound
-    and a conservative one with every moment lowered by z standard
-    errors (clamped to [-1, 1]).  Requires both families at every
-    requested l; when ``ls`` is omitted, uses every l where both are
-    present with at least one match.  The table's xi_e is a fixed-sequence
-    test: walk the candidates (``ls``, else every l in the estimates)
-    upward, stop at the first l whose conservative bound is not positive
-    or that lacks a match in either family, and certify the last l that
-    passed (0 if none).  An order fixed before the data are seen keeps
-    the family-wise error at the per-l rate.  A negative or non-finite z
-    would raise the bound instead, so it is rejected.
+    For each l where both families have at least one match, sets mu_yz =
+    mu_zy = mean of the two-basis template and mu_xx = mean of the
+    three-basis one, then reports the central bound and a conservative
+    one with every moment lowered by z standard errors (clamped to
+    [-1, 1]).  The table's xi_e is a fixed-sequence test: walk every l in
+    the estimates upward, stop at the first l whose conservative bound is
+    not positive or that lacks a match in either family, and certify the
+    last l that passed (0 if none).  An order fixed before the data are
+    seen keeps the family-wise error at the per-l rate.  A negative or
+    non-finite z would raise the bound instead, so it is rejected.
     """
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"z must be finite and >= 0, got {z}")
     by_l: Dict[int, Dict[str, CorrelatorEstimate]] = {}
     for est in estimates:
         by_l.setdefault(est.l, {})[est.family] = est
-
-    def usable(d: Dict[str, CorrelatorEstimate]) -> bool:
-        return all(f.value in d and d[f.value].match_count > 0
-                   for f in TemplateFamily)
-
-    candidates = sorted(by_l if ls is None else ls)
-    if ls is None:
-        ls = [l for l in candidates if usable(by_l[l])]
+    candidates = sorted(by_l)
     rows: List[LEBoundRow] = []
-    for l in ls:
-        d = by_l.get(l, {})
-        if not usable(d):
-            raise ValueError(f"no usable estimates for both families at l={l}")
+    for l in candidates:
+        d = by_l[l]
+        if not all(f.value in d and d[f.value].match_count > 0
+                   for f in TemplateFamily):
+            continue
         e1 = d[TemplateFamily.GAMMA1.value]
         e2 = d[TemplateFamily.GAMMA2.value]
-        central = TwoQubitMoments(e1.mean, e1.mean, e2.mean)
         m1 = _clip_unit(e1.mean - z * e1.stderr)
         m2 = _clip_unit(e2.mean - z * e2.stderr)
-        conservative = TwoQubitMoments(m1, m1, m2)
+        c_central, clamped_central = _concurrence_and_clamped(
+            TwoQubitMoments(e1.mean, e1.mean, e2.mean))
+        c_cons, clamped_cons = _concurrence_and_clamped(
+            TwoQubitMoments(m1, m1, m2))
         rows.append(LEBoundRow(
             l=l,
             mu_gamma1=e1.mean,
             mu_gamma2=e2.mean,
-            eof_central=eof(central),
-            eof_conservative=eof(conservative),
-            clamped=(_clamped_spectrum(central)[1]
-                     or _clamped_spectrum(conservative)[1]),
+            eof_central=eof_from_concurrence(c_central),
+            eof_conservative=eof_from_concurrence(c_cons),
+            clamped=clamped_central or clamped_cons,
         ))
     passed = {r.l for r in rows if r.eof_conservative > 0.0}
     xi = max(takewhile(passed.__contains__, candidates), default=0)
@@ -371,7 +367,7 @@ def xi_from_rates(p_sigma: float, p_zz: float) -> XiEstimate:
     The continuous root solves (2l+8)/3 * alpha + 2l/3 * beta = ln(1/3),
     clamped at 0 when even l = 0 is below threshold.  The grid value is
     the largest l at which predict_gamma's law still exceeds 1/3, found
-    by _last_on_grid with no cap on l, since xi grows without bound as
+    by _last_on_grid, which needs no cap on l: xi grows without bound as
     the rates shrink.
     """
     alpha, beta = _log_rates(p_sigma, p_zz)
@@ -467,15 +463,16 @@ def instance_probability(family: FamilyLike, l: int, p_d: float, q_x: float,
 
 
 def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
-                      min_expected: float = 1.0,
-                      l_cap: int = 10 ** 6) -> int:
+                      min_expected: float = 1.0) -> int:
     """Largest separation with >= min_expected expected matches in budget.
 
     The budget is the number of emitted photons (window offsets); the
     expected match count at separation l is n_budget times the optimal
     per-offset probability, which falls with l, so _last_on_grid finds
-    the reach in O(log l) probes, each of O(1) slot counts.  Returns 0
-    when even l = 2 is out of reach.
+    the reach in O(log l) probes, each of O(1) slot counts.  Any finite
+    budget is searched in full: at p_d = 1 Gamma1's probability falls
+    only as about 1/l^2, so its reach grows as the square root of the
+    budget.  Returns 0 when even l = 2 is out of reach.
     """
     _check_budget(n_budget)
     if min_expected <= 0.0:
@@ -483,5 +480,4 @@ def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
     return _last_on_grid(
         lambda l: (instance_probability(family, l, p_d,
                                         *splitter_settings(family, l))
-                   * n_budget >= min_expected),
-        l_cap)
+                   * n_budget >= min_expected))

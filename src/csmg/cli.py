@@ -11,7 +11,7 @@ Every other flag's text is read by the same reader too: ``report
 ``--min-expected``, ``analyze --z``, ``verify --windows`` and
 CSMG_THREADS as config-file numbers, so a bad one exits 2 with the
 config reader's message.  Every field value is checked as the RunConfig
-is built and validated.
+is built.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 template verification failure.  analyze, plan and report compute

@@ -6,8 +6,9 @@ ExperimentConfig, so the simulator takes it as it is and a bad source
 value fails when it is built; it adds the scan selection (families,
 separations, mode) and optional output paths.  Its fields are the keys:
 a value is read by its field's type, families and l_values as comma
-lists, and every scan rule lives in validate().  The CLI reads a flag's
-text with the same reader, parse_value.
+lists, and every scan rule is checked as the RunConfig is built, so no
+RunConfig breaks one.  The CLI reads a flag's text with the same reader,
+parse_value.
 """
 from __future__ import annotations
 
@@ -65,8 +66,10 @@ class RunConfig(ExperimentConfig):
     record_path: Optional[str] = None
     estimates_path: Optional[str] = None
 
-    def validate(self) -> "RunConfig":
-        """Check the scan rules; raises ConfigError on the first broken one."""
+    def __post_init__(self) -> None:
+        """Check the source rules (ValueError), then the scan rules
+        (ConfigError, on the first broken one)."""
+        super().__post_init__()
         for name in self.families:  # the families reader's name check
             parse_scalar("families", TemplateFamily, name)
         try:
@@ -84,7 +87,6 @@ class RunConfig(ExperimentConfig):
             raise ConfigError("stride must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        return self
 
     def separations(self) -> Tuple[int, ...]:
         if self.l_values is not None:
@@ -159,10 +161,9 @@ def format_config(cfg: RunConfig) -> str:
 
 
 def override(cfg: RunConfig, **updates) -> RunConfig:
-    """Apply non-None keyword overrides and re-validate."""
+    """Apply non-None keyword overrides; the result is checked as it is built."""
     changes = {k: v for k, v in updates.items() if v is not None}
     try:
-        cfg = replace(cfg, **changes)
-    except ValueError as exc:  # a source rule, checked as the config is built
+        return replace(cfg, **changes)
+    except ValueError as exc:  # a source rule, raised by ExperimentConfig
         raise ConfigError(str(exc)) from None
-    return cfg.validate()

@@ -85,7 +85,7 @@ class ClickRecord:
 
     ``events`` is a uint8 array using the byte encoding above; the first
     ``burn_in`` photons were produced while the source settles and are
-    skipped by default during scanning.
+    always skipped during scanning.
     """
 
     events: np.ndarray

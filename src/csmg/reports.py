@@ -163,8 +163,8 @@ def default_pd_grid() -> List[float]:
     return [round(0.05 * i, 2) for i in range(1, 20)]
 
 
-def default_pzz_grid(points: int = 60) -> List[float]:
-    return [float(v) for v in np.geomspace(0.001, 0.2, points)]
+def default_pzz_grid() -> List[float]:
+    return [float(v) for v in np.geomspace(0.001, 0.2, 60)]
 
 
 def tomography_rows(p_ds: Iterable[float],

@@ -188,8 +188,7 @@ def verify_template_algebra(template: Template) -> None:
             f"match slots {expected}")
 
 
-def verify_template_stream(template: Template, *, windows: int = 256,
-                           seed: int = 2026) -> None:
+def verify_template_stream(template: Template, *, windows: int = 256) -> None:
     """Check the template on a simulated noiseless forced-basis stream.
 
     Every aligned window must match and every match must come out +1.
@@ -202,11 +201,10 @@ def verify_template_stream(template: Template, *, windows: int = 256,
         [c - 1 if c != SLOT_FREE else SLOT_Z - 1 for c in template.slots],
         dtype=np.uint8)
     forced = np.tile(schedule, windows)
-    cfg = ExperimentConfig(n_photons=template.span * windows, seed=seed,
+    cfg = ExperimentConfig(n_photons=template.span * windows, seed=2026,
                            p_d=1.0, burn_in=0)
     record = simulate(cfg, forced_bases=forced)
-    est = scan(record, [template], mode="all", stride=template.span,
-               burn_in=0)[0]
+    est = scan(record, [template], mode="all", stride=template.span)[0]
     if est.match_count != windows:
         raise TemplateVerificationError(
             f"{template.id}: matched {est.match_count} of {windows} "
@@ -217,8 +215,7 @@ def verify_template_stream(template: Template, *, windows: int = 256,
             f"{est.signed_sum}, expected +{windows}")
 
 
-def verify_template(template: Template, *, windows: int = 256,
-                    seed: int = 2026) -> None:
+def verify_template(template: Template, *, windows: int = 256) -> None:
     """Self-check a template; raises TemplateVerificationError on failure.
 
     Algebraic half: the generator product must have phase +1 and exactly
@@ -227,7 +224,7 @@ def verify_template(template: Template, *, windows: int = 256,
     every aligned window, and every match must come out +1.
     """
     verify_template_algebra(template)
-    verify_template_stream(template, windows=windows, seed=seed)
+    verify_template_stream(template, windows=windows)
 
 
 # ---------------------------------------------------------------------------
@@ -466,28 +463,17 @@ def _scan_range(events: np.ndarray, templates: Sequence[Template],
     return accs
 
 
-def _coerce_record(record, burn_in: Optional[int]) -> Tuple[np.ndarray, int]:
-    if isinstance(record, ClickRecord):
-        events = record.events
-        if burn_in is None:
-            burn_in = record.burn_in
-    else:
-        events = np.asarray(record, dtype=np.uint8)
-        if burn_in is None:
-            burn_in = 0
-    return events, burn_in
-
-
-def scan(record, templates: Sequence[Template], *, mode: str = "all",
-         stride: int = 1, burn_in: Optional[int] = None,
+def scan(record: ClickRecord, templates: Sequence[Template], *,
+         mode: str = "all", stride: int = 1,
          chunk_size: int = _DEFAULT_CHUNK,
          threads: int = 1) -> List[CorrelatorEstimate]:
     """Slide every template over the record and tally matched windows.
 
     ``mode="all"`` counts every match (default); ``mode="greedy"`` keeps
     only matches that do not overlap a previously kept one, giving
-    independent samples at the cost of statistics.  ``stride`` restricts
-    window starts to burn_in, burn_in + stride, ...
+    independent samples at the cost of statistics.  Window starts begin
+    at the record's burn_in, and ``stride`` restricts them to burn_in,
+    burn_in + stride, ...
 
     All templates are matched in one pass over the record, ``chunk_size``
     window starts at a time.  Templates that begin with the same required
@@ -510,8 +496,8 @@ def scan(record, templates: Sequence[Template], *, mode: str = "all",
         raise ValueError("stride must be >= 1")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    events, anchor = _coerce_record(record, burn_in)
-    if anchor < 0:
+    events, anchor = record.events, record.burn_in
+    if anchor < 0:  # a ClickRecord's fields can be reassigned
         raise ValueError(f"burn_in must be >= 0, got {anchor}")
     templates = list(templates)
     if not templates:

@@ -177,11 +177,6 @@ def test_direct_bounds_rejects_negative_or_non_finite_z():
     assert row.eof_conservative == row.eof_central
 
 
-def test_direct_bounds_requires_both_families():
-    with pytest.raises(ValueError):
-        direct_bounds([_estimate("Gamma1", 2, 10, 10)], ls=[2])
-
-
 def test_direct_bounds_selects_largest_positive_l():
     ests = [_estimate("Gamma1", 2, 4000, 3600),
             _estimate("Gamma2", 2, 4000, 3400),
@@ -193,6 +188,9 @@ def test_direct_bounds_selects_largest_positive_l():
     assert [row.l for row in table.rows] == [2, 5, 8]
     assert table.xi_e == 5
     assert all(row.method == "direct" for row in table.rows)
+    # one family alone bounds nothing
+    gamma1 = direct_bounds([e for e in ests if e.family == "Gamma1"])
+    assert (gamma1.rows, gamma1.xi_e) == ((), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +489,21 @@ def test_planners_reject_non_finite_budgets(budget):
         naive_tomography_K(0.5, budget)
     for family in ("Gamma1", "Gamma2"):
         with pytest.raises(ValueError, match="n_budget must be finite"):
-            max_direct_length(family, 0.5, budget, l_cap=2000)
+            max_direct_length(family, 0.5, budget)
+
+
+@pytest.mark.parametrize("budget", [1e12, 1e13, 1e20])
+def test_max_direct_length_has_no_cap(budget):
+    # at p_d = 1 Gamma1's probability falls only as about 1/l^2, so the
+    # reach grows as the square root of the budget, past any fixed cap
+    reach = max_direct_length("Gamma1", 1.0, budget)
+
+    def expected(l):
+        return instance_probability(
+            "Gamma1", l, 1.0, *splitter_settings("Gamma1", l)) * budget
+
+    assert expected(reach) >= 1.0
+    assert expected(reach + 3) < 1.0
 
 
 def test_optimal_pp_and_splitter_settings():

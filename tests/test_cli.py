@@ -71,7 +71,7 @@ def _run_configs(draw):
                                                     max_size=5).map(tuple))),
         mode=draw(st.sampled_from(["all", "greedy"])),
         stride=draw(st.integers(1, 64)), threads=draw(st.integers(1, 64)),
-        record_path=draw(_text), estimates_path=draw(_text)).validate()
+        record_path=draw(_text), estimates_path=draw(_text))
 
 
 def _writable(text):
@@ -178,7 +178,7 @@ def test_bad_flag_value_fails_as_in_a_config_file(tmp_path, command, flag,
 @pytest.mark.parametrize("families", [("Bogus",), (), ("Gamma1", "gamma2")])
 def test_validate_rejects_bad_family_lists(families):
     with pytest.raises(ConfigError):
-        RunConfig(families=families).validate()
+        RunConfig(families=families)
 
 
 def test_unknown_family_is_named_alike_in_files_flags_and_validate(capsys):
@@ -187,7 +187,7 @@ def test_unknown_family_is_named_alike_in_files_flags_and_validate(capsys):
         parse_config("seed = 1\nfamilies = Gamma1, Bogus\n")
     assert str(err.value) == f"line 2: {message}"
     with pytest.raises(ConfigError) as err:
-        RunConfig(families=("Bogus",)).validate()
+        RunConfig(families=("Bogus",))
     assert str(err.value) == message
     assert run(["verify", "--families", "Bogus"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -246,6 +246,17 @@ def test_parse_config_ignores_comments_and_blanks():
     cfg = parse_config("# a comment\n\nseed = 7\nmode = greedy\n")
     assert cfg.seed == 7
     assert cfg.mode == "greedy"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("threads", 0, "threads must be >= 1"),
+    ("mode", "eager", "mode must be 'all' or 'greedy'"),
+    ("families", ("Bogus",), "families: unknown template family 'Bogus'"),
+])
+def test_run_config_checks_scan_rules_when_built(field, value, message):
+    # no RunConfig breaks a scan rule, however it is made
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**{field: value})
 
 
 def test_override_revalidates():
@@ -567,6 +578,13 @@ def test_plan_prints_reach(capsys):
     assert "11" in out      # naive tomography K
     assert "20" in out      # Gamma2 reach
     assert "29" in out      # Gamma1 reach
+
+
+def test_plan_reach_has_no_cap(capsys):
+    # at p_d = 1 Gamma1's match probability falls only as about 1/l^2, so
+    # at 1e12 photons its reach lies past l = 10^6
+    assert run(["plan", "--pd", "1", "--budget", "1e12"]) == 0
+    assert "Gamma1: direct reach l = 1103633 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])

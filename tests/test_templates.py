@@ -288,8 +288,8 @@ def test_scan_burn_in_skips_leading_photons():
     est = scan(rec, [t])[0]
     ref = reference_scan(np.frombuffer(events, np.uint8), t, burn_in=1)
     assert (est.match_count, est.signed_sum) == ref[:2]
-    # explicit override wins over the record's own value
-    est0 = scan(rec, [t], burn_in=0)[0]
+    # the record's own burn-in sets the first window start
+    est0 = scan(_record(events, burn_in=0), [t])[0]
     assert est0.match_count == est.match_count + 1
 
 
@@ -410,10 +410,11 @@ def test_scan_rejects_negative_burn_in():
     # with any thread count, a negative start would index from the end
     rec = _record(events_from_text("Z+ Y+ Y+ Z+ " * 50))
     t = make_template("Gamma1", 2)
-    assert scan(rec, [t], burn_in=0)[0].match_count == 50
+    assert scan(rec, [t])[0].match_count == 50
+    rec.burn_in = -1  # a ClickRecord's fields can be reassigned
     for threads in (1, 2):
         with pytest.raises(ValueError, match="burn_in"):
-            scan(rec, [t], burn_in=-1, threads=threads)
+            scan(rec, [t], threads=threads)
 
 
 def test_scan_shares_template_prefixes():
@@ -440,7 +441,7 @@ def test_scan_walks_a_deep_trie_without_recursion():
     rng = np.random.default_rng(33)
     events = np.concatenate([
         _events_near(rng, t.slots, 3 * t.span, 0.0005) for t in templates])
-    got = scan(events, templates, chunk_size=1000)
+    got = scan(ClickRecord(events), templates, chunk_size=1000)
     assert [(e.match_count, e.signed_sum) for e in got] == [
         reference_scan(events, t)[:2] for t in templates]
     assert [e.match_count for e in got] == [3, 3]
@@ -525,7 +526,9 @@ def _patterned_templates():
 
 def _check_against_reference(case):
     events, templates, kwargs = case
-    got = scan(events, templates, **kwargs)
+    scan_kwargs = dict(kwargs)
+    record = ClickRecord(events, burn_in=scan_kwargs.pop("burn_in"))
+    got = scan(record, templates, **scan_kwargs)
     assert len(got) == len(templates)
     for est, t in zip(got, templates):
         want = _reference_estimate(events, t, kwargs["mode"],
@@ -678,7 +681,8 @@ def test_dense_node_without_survivors_in_the_padded_last_block(chunk_size):
             _check_against_reference((events, templates, dict(
                 mode=mode, stride=1, burn_in=0, chunk_size=chunk_size,
                 threads=threads)))
-    assert scan(events, [long], chunk_size=chunk_size)[0].match_count == 2
+    assert scan(ClickRecord(events), [long],
+                chunk_size=chunk_size)[0].match_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +744,8 @@ def test_greedy_matches_per_match_loop(case):
     want = _greedy_by_loop(events, template, stride, burn_in)
     # one block larger than the record holds the whole orbit
     for chunk in (chunk_size, events.shape[0] + 1):
-        est = scan(events, [template], mode="greedy", stride=stride,
-                   burn_in=burn_in, chunk_size=chunk)[0]
+        est = scan(ClickRecord(events, burn_in=burn_in), [template],
+                   mode="greedy", stride=stride, chunk_size=chunk)[0]
         assert (est.match_count, est.signed_sum) == want, chunk
         assert est.overlap_fraction == 0.0
 
