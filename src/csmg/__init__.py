@@ -24,7 +24,7 @@ from .templates import (CorrelatorEstimate, Template, TemplateFamily,
                         TemplateVerificationError, certifiable_lengths,
                         make_template, scan, template_k_product,
                         verify_template, verify_template_algebra,
-                        verify_template_stream, zz_flip_pair_count)
+                        verify_template_stream)
 
 __version__ = "0.1.0"
 
@@ -44,5 +44,5 @@ __all__ = [
     "rho_tilde_eigenvalues", "scan", "simulate",
     "splitter_settings", "template_k_product", "verify_template",
     "verify_template_algebra", "verify_template_stream",
-    "write_record", "xi_e", "xi_from_rates", "zz_flip_pair_count",
+    "write_record", "xi_e", "xi_from_rates",
 ]

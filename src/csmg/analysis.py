@@ -16,9 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .templates import (CorrelatorEstimate, FamilyLike, Template,
-                        TemplateFamily, _checked, slot_counts,
-                        zz_flip_pair_count)
+from .templates import (CorrelatorEstimate, FamilyLike, TemplateFamily,
+                        _checked, slot_counts)
 
 _THIRD = 1.0 / 3.0
 
@@ -107,15 +106,19 @@ def concurrence(m: TwoQubitMoments) -> float:
 
 
 def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation in bits from the concurrence."""
+    """Entanglement of formation in bits from the concurrence.
+
+    The binary entropy of p = (1 - sqrt(1 - c^2)) / 2 (Wootters 1998),
+    with p computed as c^2 / (2 (1 + sqrt(1 - c^2))), which does not
+    cancel, and 0 log 0 = 0.  So any c in [0, 1] has a finite value: 0 at
+    c = 0, 1 at c = 1, and about p log2(e / p) at small c.
+    """
     if not 0.0 <= c <= 1.0:
         raise ValueError("concurrence must lie in [0, 1]")
-    if c == 0.0:
+    p = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
+    if p == 0.0:
         return 0.0
-    if c == 1.0:
-        return 1.0
-    x = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return (-p * math.log(p) - (1.0 - p) * math.log1p(-p)) / math.log(2.0)
 
 
 def eof(m: TwoQubitMoments) -> float:
@@ -218,8 +221,8 @@ def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
                   p_zz: float) -> float:
     """Asymptotic decay of a template mean with the two error rates.
 
-    (1 - 4*p_sigma/3)^n_measured * (1 - 2*p_zz)^(2l/3), with n_measured
-    = (2l+8)/3 for both families.  The single-Pauli factor is exact (one
+    (1 - 4*p_sigma/3)^n_m * (1 - 2*p_zz)^(2l/3), with n_m = (2l+8)/3
+    for both families.  The single-Pauli factor is exact (one
     factor per measured photon); the pair-error exponent 2l/3 is the
     large-l rate of flip-sensitive slot boundaries, not the per-template
     integer count, so this is an extrapolation formula rather than an
@@ -230,19 +233,21 @@ def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
     return _mu_asymptotic(l, *_log_rates(p_sigma, p_zz))
 
 
-def predicted_template_mean(template: Template, p_sigma: float,
+def predicted_template_mean(family: FamilyLike, l: int, p_sigma: float,
                             p_zz: float) -> float:
-    """Exact expected mean of one template under the stream's noise law.
+    """Exact expected mean of the family's template at l under the
+    stream's noise law.
 
     Every measured photon contributes (1 - 4*p_sigma/3); every adjacent
     emission pair whose Z*Z error flips the window product contributes
-    (1 - 2*p_zz).  Both exponents are integers counted from the template
-    itself.
+    (1 - 2*p_zz).  Both exponents are integers, read from
+    ``slot_counts(family, l)`` in O(1), so no template is built.
     """
     _check_probability("p_sigma", p_sigma)
     _check_probability("p_zz", p_zz)
-    return ((1.0 - 4.0 * p_sigma / 3.0) ** template.n_measured
-            * (1.0 - 2.0 * p_zz) ** zz_flip_pair_count(template))
+    n_x, n_y, n_z, flips = slot_counts(family, l)
+    return ((1.0 - 4.0 * p_sigma / 3.0) ** (n_x + n_y + n_z)
+            * (1.0 - 2.0 * p_zz) ** flips)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,7 @@ class ErrorModelFit:
 
 
 def fit_error_model(estimates: Sequence[CorrelatorEstimate]) -> ErrorModelFit:
-    """Fit ln(mean) = n_measured*alpha + flip_pairs*beta by weighted LS.
+    """Fit ln(mean) = n_m*alpha + flip_pairs*beta by weighted LS.
 
     The regressors are the exact integer exponents of the two decay
     channels, so the fit is linear and the estimator is consistent on

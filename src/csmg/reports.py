@@ -70,7 +70,6 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
                 l = int(row[1])
                 named = template_id(family, l)
                 est = CorrelatorEstimate(
-                    template_id=row_id,
                     family=family,
                     l=l,
                     match_count=int(row[2]),

@@ -127,18 +127,17 @@ def _cut(q: float, p_d: float) -> float:
     """The smallest double t in [0, p_d) with t / p_d >= q, else p_d.
 
     Correctly rounded division is monotone in t, so for 0 <= u < p_d the
-    test ``u >= _cut(q, p_d)`` is exactly ``u / p_d >= q``.  The
-    non-negative doubles are ordered like their bit patterns, so the
-    search bisects over those.
+    test ``u >= _cut(q, p_d)`` is exactly ``u / p_d >= q``.  The rounded
+    product q * p_d is within a few doubles of that t, so the search
+    starts there and steps one double at a time: down while the double
+    below still passes, then up while t fails.
     """
-    lo, hi = 0, int(np.float64(p_d).view(np.int64))
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if float(np.int64(mid).view(np.float64)) / p_d >= q:
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(np.int64(lo).view(np.float64))
+    t = min(q * p_d, p_d)
+    while t > 0.0 and math.nextafter(t, 0.0) / p_d >= q:
+        t = math.nextafter(t, 0.0)
+    while t < p_d and t / p_d < q:
+        t = math.nextafter(t, p_d)
+    return t
 
 
 def _fin_cuts(cfg: ExperimentConfig) -> Tuple[float, float, float]:

@@ -102,17 +102,16 @@ def template_id(family: FamilyLike, l: int) -> str:
 class Template:
     """One basis pattern: slot codes over a window of consecutive photons.
 
-    ``slots[p]`` is SLOT_FREE when photon p of the window may carry any
-    byte (detected in any basis, or lost) and a basis code otherwise.
-    ``pair_positions`` are the two slots whose photons the matched
-    correlator certifies; they sit exactly ``l`` emissions apart.
+    A template is named by its family and its l; ``make_template`` reads
+    its slots from the family's ``_FORMS`` row, and its counts come from
+    ``slot_counts(family, l)``.  ``slots[p]`` is SLOT_FREE when photon p
+    of the window may carry any byte (detected in any basis, or lost) and
+    a basis code otherwise.
     """
 
     family: TemplateFamily
     l: int
     slots: Tuple[int, ...]
-    pair_positions: Tuple[int, int]
-    phase: int = 1
 
     @property
     def id(self) -> str:
@@ -131,28 +130,18 @@ class Template:
         return tuple((p, c) for p, c in enumerate(self.slots) if c != SLOT_FREE)
 
     @property
-    def n_measured(self) -> int:
-        return len(self.slots) - self.slots.count(SLOT_FREE)
-
-    def basis_counts(self) -> Tuple[int, int, int]:
-        """(#X, #Y, #Z) detections one matched window consumes."""
-        return _pattern_counts(self.pattern)[:3]
-
-    def __str__(self) -> str:
-        return f"{self.id} {self.pattern}"
+    def pair_positions(self) -> Tuple[int, int]:
+        """The two slots whose photons the matched correlator certifies;
+        they sit exactly ``l`` emissions apart."""
+        first = _FORMS[self.family][3]
+        return first, first + self.l
 
 
 def make_template(family: FamilyLike, l: int) -> Template:
     family = _checked(family, l)
-    head, period, tail, first = _FORMS[family]
+    head, period, tail, _ = _FORMS[family]
     pattern = head + period * ((l - 2) // 3) + tail
-    return Template(family, l, tuple(map(_SLOT_NAMES.index, pattern)),
-                    (first, first + l))
-
-
-def zz_flip_pair_count(template: Template) -> int:
-    """Adjacent emission pairs whose Z(i)Z(i+1) error flips the product."""
-    return _pattern_counts(template.pattern)[3]
+    return Template(family, l, tuple(map(_SLOT_NAMES.index, pattern)))
 
 
 def template_k_product(template: Template) -> PauliString:
@@ -174,12 +163,13 @@ def template_k_product(template: Template) -> PauliString:
 
 
 def verify_template_algebra(template: Template) -> None:
-    """Check the template against its own generator product."""
+    """Check the template against its own generator product: the product
+    must have phase +1 and exactly the template's slot letters."""
     product = template_k_product(template)
-    if product.phase != template.phase:
+    if product.phase != 1:
         raise TemplateVerificationError(
             f"{template.id}: generator product has phase {product.phase}, "
-            f"expected {template.phase}")
+            "expected +1")
     expected = {p: _SLOT_NAMES[c] for p, c in template.required}
     actual = {site: letter.value for site, letter in product.letters.items()}
     if actual != expected:
@@ -241,12 +231,15 @@ class CorrelatorEstimate:
     photons and are therefore correlated samples.
     """
 
-    template_id: str
     family: str
     l: int
     match_count: int
     signed_sum: int
     overlap_fraction: float
+
+    @property
+    def template_id(self) -> str:
+        return template_id(self.family, self.l)
 
     @property
     def mean(self) -> float:
@@ -534,7 +527,6 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
 def _estimate_from(template: Template, acc: _Accumulator) -> CorrelatorEstimate:
     overlap = acc.overlaps / acc.count if acc.count else 0.0
     return CorrelatorEstimate(
-        template_id=template.id,
         family=template.family.value,
         l=template.l,
         match_count=acc.count,

@@ -166,8 +166,7 @@ def test_criterion_4b_companion_exact_pair_error_decay():
     """Same p_zz = 0.02 record against the exact per-template law."""
     worst = 0.0
     for est in _decay_estimates(5, 0.0, 0.02):
-        expected = predicted_template_mean(
-            make_template(est.family, est.l), 0.0, 0.02)
+        expected = predicted_template_mean(est.family, est.l, 0.0, 0.02)
         pull = abs(est.mean - expected) / est.stderr
         worst = max(worst, pull)
         assert pull < 5.0, (est.template_id, est.mean, expected, pull)

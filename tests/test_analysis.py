@@ -27,7 +27,8 @@ from csmg.templates import (
     CorrelatorEstimate,
     certifiable_lengths,
     make_template,
-    zz_flip_pair_count,
+    slot_counts,
+    template_id,
 )
 
 from helpers import entropy_of_entanglement, rho_from_moments, wootters_concurrence
@@ -115,6 +116,16 @@ def test_eof_endpoints_and_formula():
             pytest.approx(entropy_of_entanglement(c), abs=1e-12)
 
 
+def test_eof_is_finite_at_tiny_concurrence():
+    # 1 - (1 + sqrt(1 - c^2)) / 2 rounds to 0 below c of about 2e-8; the
+    # entropy of p = c^2 / 4 + O(c^4) is p log2(e / p) to first order
+    for c in (1e-9, 1e-12, 2.2e-16):
+        p = c * c / 4
+        assert eof_from_concurrence(c) == \
+            pytest.approx(p * math.log2(math.e / p), rel=1e-12, abs=0.0)
+    assert eof_from_concurrence(1.0) == 1.0
+
+
 def test_eof_monotone_in_concurrence():
     grid = np.linspace(0, 1, 200)
     vals = [eof_from_concurrence(c) for c in grid]
@@ -126,9 +137,8 @@ def test_eof_monotone_in_concurrence():
 
 
 def _estimate(family, l, count, signed):
-    return CorrelatorEstimate(template_id=f"{family}(l={l})", family=family,
-                              l=l, match_count=count, signed_sum=signed,
-                              overlap_fraction=0.0)
+    return CorrelatorEstimate(family=family, l=l, match_count=count,
+                              signed_sum=signed, overlap_fraction=0.0)
 
 
 def test_direct_bounds_perfect_correlations():
@@ -217,18 +227,32 @@ def test_predicted_template_mean_uses_integer_exponents():
     for fam in ("Gamma1", "Gamma2"):
         for l in (2, 5, 8, 11):
             t = make_template(fam, l)
-            got = predicted_template_mean(t, 0.013, 0.021)
-            want = ((1 - 4 * 0.013 / 3) ** t.n_measured
-                    * (1 - 2 * 0.021) ** zz_flip_pair_count(t))
+            got = predicted_template_mean(fam, l, 0.013, 0.021)
+            want = ((1 - 4 * 0.013 / 3) ** len(t.required)
+                    * (1 - 2 * 0.021) ** slot_counts(fam, l)[3])
             assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_predicted_template_mean_builds_no_template(monkeypatch):
+    # the exponents are read from the family's form in O(1), so a mean at
+    # l = 3 000 002 costs no more than one at l = 2
+    import csmg
+    import csmg.templates
+
+    def refuse(family, l):
+        raise AssertionError(f"built the {family} template at l = {l}")
+
+    for module in (csmg, csmg.templates):
+        monkeypatch.setattr(module, "make_template", refuse)
+    assert predicted_template_mean("Gamma1", 3_000_002, 1e-8, 1e-8) == \
+        0.9355068972099481
 
 
 def test_asymptotic_and_exact_forms_disagree_at_finite_l():
     # the extrapolation form uses exponent 2l/3 for the pair channel; the
     # stream's exact exponent differs by a constant, so the two must not
     # be conflated
-    t = make_template("Gamma2", 2)
-    exact = predicted_template_mean(t, 0.0, 0.02)
+    exact = predicted_template_mean("Gamma2", 2, 0.0, 0.02)
     asym = predict_gamma("Gamma2", 2, 0.0, 0.02)
     assert exact == pytest.approx(0.96 ** 4)
     assert asym == pytest.approx(0.96 ** (4 / 3))
@@ -241,23 +265,24 @@ def test_asymptotic_and_exact_forms_disagree_at_finite_l():
 
 @dataclass(frozen=True)
 class _FakeEstimate:
-    template_id: str
     family: str
     l: int
     match_count: int
     mean: float
     stderr: float
 
+    @property
+    def template_id(self):
+        return template_id(self.family, self.l)
+
 
 def _exact_estimates(p_sigma, p_zz, ls=(2, 5, 8, 11)):
     out = []
     for fam in ("Gamma1", "Gamma2"):
         for l in ls:
-            t = make_template(fam, l)
-            mu = predicted_template_mean(t, p_sigma, p_zz)
-            out.append(_FakeEstimate(template_id=t.id, family=fam, l=l,
-                                     match_count=10 ** 12, mean=mu,
-                                     stderr=0.0))
+            mu = predicted_template_mean(fam, l, p_sigma, p_zz)
+            out.append(_FakeEstimate(family=fam, l=l, match_count=10 ** 12,
+                                     mean=mu, stderr=0.0))
     return out
 
 
@@ -278,8 +303,7 @@ def test_fit_recovers_with_noisy_points():
     ests = []
     for fam in ("Gamma1", "Gamma2"):
         for l in (2, 5, 8):
-            t = make_template(fam, l)
-            mu = predicted_template_mean(t, p_sigma, p_zz)
+            mu = predicted_template_mean(fam, l, p_sigma, p_zz)
             n = 50000
             signed = int(round(n * (mu + rng.normal(0, 0.002))))
             ests.append(_estimate(fam, l, n, signed))
@@ -292,11 +316,10 @@ def test_fit_recovers_with_noisy_points():
 
 def test_fit_drops_nonpositive_means_and_reports_them():
     ests = _exact_estimates(0.002, 0.01, ls=(2, 5, 8))
-    dead = _FakeEstimate(template_id="Gamma2(l=11)", family="Gamma2", l=11,
-                         match_count=7, mean=-1.0, stderr=0.0)
-    empty = _FakeEstimate(template_id="Gamma1(l=11)", family="Gamma1", l=11,
-                          match_count=0, mean=float("nan"),
-                          stderr=float("inf"))
+    dead = _FakeEstimate(family="Gamma2", l=11, match_count=7, mean=-1.0,
+                         stderr=0.0)
+    empty = _FakeEstimate(family="Gamma1", l=11, match_count=0,
+                          mean=float("nan"), stderr=float("inf"))
     fit = fit_error_model(ests + [dead, empty])
     assert set(fit.dropped) == {"Gamma2(l=11)", "Gamma1(l=11)"}
     assert abs(fit.p_sigma - 0.002) < 1e-10
@@ -305,8 +328,8 @@ def test_fit_drops_nonpositive_means_and_reports_them():
 def test_fit_starved_exact_cell_cannot_dominate():
     # a 7-match cell whose matches all agreed carries finite weight
     ests = _exact_estimates(0.002, 0.01, ls=(2, 5, 8))
-    starved = _FakeEstimate(template_id="Gamma2(l=11)", family="Gamma2",
-                            l=11, match_count=7, mean=1.0, stderr=0.0)
+    starved = _FakeEstimate(family="Gamma2", l=11, match_count=7, mean=1.0,
+                            stderr=0.0)
     fit = fit_error_model(ests + [starved])
     # the exact points still pin the answer despite the biased cell
     assert abs(fit.p_sigma - 0.002) < 5e-4
@@ -333,9 +356,8 @@ def test_fit_gamma1_alone_is_solvable():
 
 def test_fit_clamps_rates_to_physical_domain():
     # upward-fluctuating means (> noiseless) drive raw rates negative
-    ests = [_FakeEstimate(template_id=f"G1:{l}", family="Gamma1", l=l,
-                          match_count=10 ** 9, mean=min(1.0, 1.0 + 0.0),
-                          stderr=1e-6)
+    ests = [_FakeEstimate(family="Gamma1", l=l, match_count=10 ** 9,
+                          mean=min(1.0, 1.0 + 0.0), stderr=1e-6)
             for l in (2, 5, 8)]
     fit = fit_error_model(ests)
     assert fit.p_sigma == 0.0
@@ -534,8 +556,8 @@ def test_compact_form_equals_general_product():
     for fam, a in (("Gamma1", 1), ("Gamma2", 2)):
         for l in certifiable_lengths(50):
             for p_d in (0.3, 0.9):
-                t = make_template(fam, l)
-                n_m, n_p = t.n_measured, t.basis_counts()[1]
+                n_x, n_p, n_z, _ = slot_counts(fam, l)
+                n_m = n_x + n_p + n_z
                 p_p = n_p / n_m
                 compact = (p_d ** n_m * p_p ** n_p
                            * ((1 - p_p) / a) ** (n_m - n_p))

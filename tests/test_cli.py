@@ -294,12 +294,10 @@ def test_runconfig_template_selection():
 
 
 def test_estimates_csv_roundtrip(tmp_path):
-    ests = [CorrelatorEstimate(template_id="Gamma1(l=2)", family="Gamma1",
-                               l=2, match_count=100, signed_sum=60,
-                               overlap_fraction=0.25),
-            CorrelatorEstimate(template_id="Gamma2(l=5)", family="Gamma2",
-                               l=5, match_count=0, signed_sum=0,
-                               overlap_fraction=0.0)]
+    ests = [CorrelatorEstimate(family="Gamma1", l=2, match_count=100,
+                               signed_sum=60, overlap_fraction=0.25),
+            CorrelatorEstimate(family="Gamma2", l=5, match_count=0,
+                               signed_sum=0, overlap_fraction=0.0)]
     path = tmp_path / "estimates.csv"
     write_estimates_csv(path, ests)
     back = read_estimates_csv(path)
@@ -330,8 +328,8 @@ def test_estimates_csv_rejects_impossible_rows(tmp_path, count, signed,
                                                overlap, problem):
     path = tmp_path / "estimates.csv"
     write_estimates_csv(path, [CorrelatorEstimate(
-        template_id="Gamma1(l=2)", family="Gamma1", l=2, match_count=4,
-        signed_sum=2, overlap_fraction=0.25)])
+        family="Gamma1", l=2, match_count=4, signed_sum=2,
+        overlap_fraction=0.25)])
     rows = _read_csv(path)
     rows[1][2], rows[1][3], rows[1][6] = count, signed, overlap
     with open(path, "w", newline="") as fh:
@@ -345,8 +343,8 @@ def test_estimates_csv_rejects_impossible_rows(tmp_path, count, signed,
 def test_estimates_csv_names_the_row_of_an_unknown_family(tmp_path, capsys):
     path = tmp_path / "estimates.csv"
     write_estimates_csv(path, [CorrelatorEstimate(
-        template_id="Gamma1(l=2)", family="Gamma1", l=2, match_count=4,
-        signed_sum=2, overlap_fraction=0.25)])
+        family="Gamma1", l=2, match_count=4, signed_sum=2,
+        overlap_fraction=0.25)])
     rows = _read_csv(path)
     rows[1][0] = "Bogus(l=2)"
     with open(path, "w", newline="") as fh:
@@ -364,8 +362,8 @@ def test_estimates_csv_names_the_row_of_an_unknown_family(tmp_path, capsys):
 def test_estimates_csv_rejects_repeated_template(tmp_path, capsys):
     # a repeated row would enter the fit as an independent point
     path = tmp_path / "estimates.csv"
-    est = CorrelatorEstimate("Gamma1(l=2)", "Gamma1", 2, 100, 60, 0.0)
-    other = CorrelatorEstimate("Gamma2(l=2)", "Gamma2", 2, 100, 40, 0.0)
+    est = CorrelatorEstimate("Gamma1", 2, 100, 60, 0.0)
+    other = CorrelatorEstimate("Gamma2", 2, 100, 40, 0.0)
     write_estimates_csv(path, [est, other, est])
     with pytest.raises(ValueError, match="repeated template") as err:
         read_estimates_csv(path)
@@ -389,8 +387,13 @@ def test_estimates_csv_rejects_a_separation_off_the_grid(tmp_path, capsys):
     # no template exists at l = 3, so no scan could have written these rows
     path = tmp_path / "estimates.csv"
     write_estimates_csv(path, [
-        CorrelatorEstimate(f"{f}(l=3)", f, 3, 500, 480, 0.0)
+        CorrelatorEstimate(f, 2, 500, 480, 0.0)
         for f in ("Gamma1", "Gamma2")])
+    rows = _read_csv(path)
+    for row in rows[1:]:
+        row[0], row[1] = row[0].replace("l=2", "l=3"), "3"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
     with pytest.raises(ValueError, match="separation 3 is not supported"):
         read_estimates_csv(path)
     bounds, summary = tmp_path / "b.csv", tmp_path / "s.json"
@@ -503,8 +506,8 @@ def test_analyze_full_pipeline(tmp_path):
 def test_analyze_bad_z_exit_code_2(tmp_path, z, capsys):
     est_path = tmp_path / "est.csv"
     write_estimates_csv(est_path, [
-        CorrelatorEstimate("Gamma1(l=8)", "Gamma1", 8, 100, 60, 0.0),
-        CorrelatorEstimate("Gamma2(l=8)", "Gamma2", 8, 100, 40, 0.0)])
+        CorrelatorEstimate("Gamma1", 8, 100, 60, 0.0),
+        CorrelatorEstimate("Gamma2", 8, 100, 40, 0.0)])
     assert run(["analyze", str(est_path), f"--z={z}", "--out-bounds",
                 str(tmp_path / "b.csv"), "--out-summary",
                 str(tmp_path / "s.json")]) == 2
@@ -516,7 +519,7 @@ def test_analyze_failed_fit_writes_nothing(tmp_path, capsys):
     # two separations cannot fit two rates; the bounds alone would succeed
     est_path = tmp_path / "est.csv"
     write_estimates_csv(est_path, [
-        CorrelatorEstimate(f"{f}(l={l})", f, l, 500, 400, 0.0)
+        CorrelatorEstimate(f, l, 500, 400, 0.0)
         for f in ("Gamma1", "Gamma2") for l in (2, 5)])
     bounds, summary = tmp_path / "b.csv", tmp_path / "s.json"
     assert run(["analyze", str(est_path), "--out-bounds", str(bounds),
@@ -529,8 +532,8 @@ def test_analyze_failed_fit_writes_nothing(tmp_path, capsys):
 def test_analyze_no_fit_skips_rates(tmp_path):
     est_path = tmp_path / "est.csv"
     write_estimates_csv(est_path, [
-        CorrelatorEstimate("Gamma1(l=2)", "Gamma1", 2, 500, 480, 0.0),
-        CorrelatorEstimate("Gamma2(l=2)", "Gamma2", 2, 500, 460, 0.0)])
+        CorrelatorEstimate("Gamma1", 2, 500, 480, 0.0),
+        CorrelatorEstimate("Gamma2", 2, 500, 460, 0.0)])
     summary_path = tmp_path / "summary.json"
     assert run(["analyze", str(est_path), "--no-fit", "--out-bounds",
                 str(tmp_path / "b.csv"), "--out-summary",
@@ -539,6 +542,25 @@ def test_analyze_no_fit_skips_rates(tmp_path):
     assert "fit" not in summary
     assert "xi_indirect" not in summary
     assert summary["direct"]["xi_e"] == 2
+
+
+def test_analyze_bounds_a_row_with_a_tiny_concurrence(tmp_path):
+    # at l = 5 this record has 7 Gamma1 matches summing to 5 and 7 Gamma2
+    # matches summing to -1; the clamped spectrum of the moments (5/7,
+    # 5/7, -1/7) has a concurrence of about 2.2e-16, whose EoF is finite
+    rec, est = tmp_path / "rec.csmg", tmp_path / "est.csv"
+    assert run(["simulate", "--photons", "5000", "--seed", "231",
+                "--pd", "1", "--qx", "0.3333333333333333",
+                "--qy", "0.3333333333333333", "--qz", "0.3333333333333334",
+                "--psigma", "0.02", "--pzz", "0.1", "--burn-in", "100",
+                "--out", str(rec)]) == 0
+    assert run(["scan", str(rec), "--lmax", "50", "--out", str(est)]) == 0
+    bounds = tmp_path / "b.csv"
+    assert run(["analyze", str(est), "--out-bounds", str(bounds),
+                "--out-summary", str(tmp_path / "s.json")]) == 0
+    row = {r[0]: r for r in _read_csv(bounds)[1:]}["5"]
+    assert (float(row[1]), float(row[2])) == (5 / 7, -1 / 7)
+    assert 0.0 < float(row[3]) < 1e-29 and float(row[4]) == 0.0
 
 
 def test_analyze_fits_rows_at_huge_separations(tmp_path, monkeypatch):
@@ -556,7 +578,7 @@ def test_analyze_fits_rows_at_huge_separations(tmp_path, monkeypatch):
     huge = 300_000_002
     est_path = tmp_path / "est.csv"
     write_estimates_csv(est_path, [
-        CorrelatorEstimate(f"{f}(l={l})", f, l, 1000, signed, 0.0)
+        CorrelatorEstimate(f, l, 1000, signed, 0.0)
         for f in ("Gamma1", "Gamma2")
         for l, signed in ((2, 900), (5, 800), (8, 700), (huge, 10))])
     assert [e.l for e in read_estimates_csv(est_path)][3::4] == [huge, huge]
@@ -717,7 +739,7 @@ def test_non_field_flags_read_by_the_config_reader(tmp_path, monkeypatch,
     # flags that set no RunConfig field are read as config-file values too
     monkeypatch.chdir(tmp_path)
     write_estimates_csv(tmp_path / "est.csv", [
-        CorrelatorEstimate(f"{f}(l={l})", f, l, 500, 400, 0.0)
+        CorrelatorEstimate(f, l, 500, 400, 0.0)
         for f in ("Gamma1", "Gamma2") for l in (2, 5, 8)])
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -15,7 +15,7 @@ from csmg.analysis import (TwoQubitMoments, direct_bounds, eof,
                            predicted_template_mean)
 from csmg.config import RunConfig
 from csmg.stream import ExperimentConfig, simulate
-from csmg.templates import certifiable_lengths, make_template, scan
+from csmg.templates import certifiable_lengths, scan
 
 SEEDS = range(1000, 1040)
 MAX_OVER_CLAIMS = 4
@@ -24,8 +24,7 @@ TEMPLATES = RunConfig(l_max=50).templates()
 
 def _exact_xi(p_sigma, p_zz):
     def mean(family, l):
-        return predicted_template_mean(make_template(family, l), p_sigma,
-                                       p_zz)
+        return predicted_template_mean(family, l, p_sigma, p_zz)
 
     return max((l for l in certifiable_lengths(50)
                 if eof(TwoQubitMoments(mean("Gamma1", l), mean("Gamma1", l),

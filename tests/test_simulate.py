@@ -237,7 +237,7 @@ def test_pair_error_decay_matches_exact_law():
     for fam in ("Gamma1", "Gamma2"):
         t = make_template(fam, 2)
         est = scan(rec, [t])[0]
-        expected = predicted_template_mean(t, 0.0, 0.02)
+        expected = predicted_template_mean(fam, 2, 0.0, 0.02)
         assert abs(est.mean - expected) < 5 * est.stderr
 
 
@@ -252,7 +252,7 @@ def test_single_pauli_decay_matches_exact_law(p_sigma):
     for fam in ("Gamma1", "Gamma2"):
         t = make_template(fam, 2)
         est = scan(rec, [t])[0]
-        expected = predicted_template_mean(t, p_sigma, 0.0)
+        expected = predicted_template_mean(fam, 2, p_sigma, 0.0)
         assert abs(est.mean - expected) < 5 * est.stderr
 
 

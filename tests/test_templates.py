@@ -25,7 +25,6 @@ from csmg.templates import (
     verify_template,
     verify_template_algebra,
     verify_template_stream,
-    zz_flip_pair_count,
     _Accumulator,
     _consume_block,
     _trie,
@@ -54,31 +53,31 @@ def test_gamma1_layouts():
     t = make_template("Gamma1", 2)
     assert t.pattern == "ZYYZ"
     assert t.pair_positions == (0, 2)
-    assert (t.span, t.n_measured, t.basis_counts()[1]) == (4, 4, 2)
+    assert (t.span, len(t.required), slot_counts("Gamma1", 2)[1]) == (4, 4, 2)
     t = make_template("Gamma1", 8)
     assert t.pattern == "ZYY_YY_YYZ"
     assert t.pair_positions == (0, 8)
-    assert (t.span, t.n_measured, t.basis_counts()[1]) == (10, 8, 6)
+    assert (t.span, len(t.required), slot_counts("Gamma1", 8)[1]) == (10, 8, 6)
 
 
 def test_gamma2_layouts():
     t = make_template("Gamma2", 2)
     assert t.pattern == "ZX_XZ"
     assert t.pair_positions == (1, 3)
-    assert (t.span, t.n_measured, t.basis_counts()[1]) == (5, 4, 0)
+    assert (t.span, len(t.required), slot_counts("Gamma2", 2)[1]) == (5, 4, 0)
     t = make_template("Gamma2", 8)
     assert t.pattern == "ZX_YY_YY_XZ"
     assert t.pair_positions == (1, 9)
-    assert (t.span, t.n_measured, t.basis_counts()[1]) == (11, 8, 4)
+    assert (t.span, len(t.required), slot_counts("Gamma2", 8)[1]) == (11, 8, 4)
 
 
 def test_measured_count_formulas():
     for l in certifiable_lengths(50):
         g1, g2 = make_template("Gamma1", l), make_template("Gamma2", l)
-        assert g1.n_measured == (2 * l + 8) // 3
-        assert g2.n_measured == (2 * l + 8) // 3
-        assert g1.basis_counts()[1] == (2 * l + 2) // 3
-        assert g2.basis_counts()[1] == max(0, (2 * l - 4) // 3)
+        assert len(g1.required) == (2 * l + 8) // 3
+        assert len(g2.required) == (2 * l + 8) // 3
+        assert slot_counts("Gamma1", l)[1] == (2 * l + 2) // 3
+        assert slot_counts("Gamma2", l)[1] == max(0, (2 * l - 4) // 3)
         assert g1.span == l + 2
         assert g2.span == l + 3
         # the certified pair sits exactly l emission steps apart
@@ -91,21 +90,19 @@ def test_measured_count_formulas():
 
 def test_measured_count_is_the_slot_walk():
     # each family's published form is head + period^k + tail, k = (l-2)/3;
-    # n_measured, the counts of the built template and the O(1) counts of
-    # slot_counts must all equal a walk over every slot of the template
+    # the O(1) counts of slot_counts must equal a walk over every slot of
+    # the template
     forms = {"Gamma1": ("ZYY", "_YY", "Z"), "Gamma2": ("ZX", "_YY", "_XZ")}
     for l in certifiable_lengths(3002):
         for fam, (head, period, tail) in forms.items():
             t = make_template(fam, l)
             assert t.pattern == head + period * ((l - 2) // 3) + tail
-            assert t.n_measured == sum(1 for c in t.slots if c != SLOT_FREE)
             anti = [c in (SLOT_X, SLOT_Y)
                     for c in (SLOT_FREE,) + t.slots + (SLOT_FREE,)]
             walk = (sum(1 for c in t.slots if c == SLOT_X),
                     sum(1 for c in t.slots if c == SLOT_Y),
                     sum(1 for c in t.slots if c == SLOT_Z),
                     sum(1 for a, b in zip(anti, anti[1:]) if a != b))
-            assert (*t.basis_counts(), zz_flip_pair_count(t)) == walk
             assert slot_counts(fam, l) == walk, (fam, l)
 
 
@@ -127,8 +124,8 @@ def test_make_template_accepts_family_spellings():
 
 
 def test_basis_counts():
-    assert make_template("Gamma1", 8).basis_counts() == (0, 6, 2)
-    assert make_template("Gamma2", 8).basis_counts() == (2, 4, 2)
+    assert slot_counts("Gamma1", 8)[:3] == (0, 6, 2)
+    assert slot_counts("Gamma2", 8)[:3] == (2, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +175,7 @@ def test_verify_template_accepts_grid():
 def test_verify_rejects_corrupted_slots():
     t = make_template("Gamma1", 2)
     bad = Template(family=t.family, l=t.l,
-                   slots=(SLOT_Z, SLOT_Y, SLOT_X, SLOT_Z),
-                   pair_positions=t.pair_positions, phase=t.phase)
+                   slots=(SLOT_Z, SLOT_Y, SLOT_X, SLOT_Z))
     with pytest.raises(TemplateVerificationError):
         verify_template_algebra(bad)
     with pytest.raises(TemplateVerificationError):
@@ -198,9 +194,7 @@ def test_algebra_rejects_every_single_slot_change():
                     if new == old:
                         continue
                     slots = t.slots[:p] + (new,) + t.slots[p + 1:]
-                    bad = Template(family=t.family, l=t.l, slots=slots,
-                                   pair_positions=t.pair_positions,
-                                   phase=t.phase)
+                    bad = Template(family=t.family, l=t.l, slots=slots)
                     with pytest.raises(TemplateVerificationError):
                         verify_template_algebra(bad)
                     cases += 1
@@ -208,24 +202,25 @@ def test_algebra_rejects_every_single_slot_change():
 
 
 def test_verify_rejects_wrong_phase():
-    t = make_template("Gamma2", 2)
-    bad = Template(family=t.family, l=t.l, slots=t.slots,
-                   pair_positions=t.pair_positions, phase=-1)
-    with pytest.raises(TemplateVerificationError):
+    # the generator product of Z Y X Y Z is -Z Y X Y Z: its letters are
+    # the slots', so only the phase can reject it
+    bad = Template(TemplateFamily.GAMMA2, 2,
+                   (SLOT_Z, SLOT_Y, SLOT_X, SLOT_Y, SLOT_Z))
+    assert template_k_product(bad).phase == -1
+    with pytest.raises(TemplateVerificationError, match="phase"):
         verify_template_algebra(bad)
 
 
 def test_zz_flip_pair_counts():
     # hand count for Gamma1(2) = Z Y Y Z: flipping boundaries are the
     # (Z,Y) and (Y,Z) steps, the (Y,Y) interior and both edges commute
-    assert zz_flip_pair_count(make_template("Gamma1", 2)) == 2
-    assert zz_flip_pair_count(make_template("Gamma2", 2)) == 4
-    assert zz_flip_pair_count(make_template("Gamma1", 5)) == 4
-    assert zz_flip_pair_count(make_template("Gamma2", 5)) == 6
+    assert slot_counts("Gamma1", 2)[3] == 2
+    assert slot_counts("Gamma2", 2)[3] == 4
+    assert slot_counts("Gamma1", 5)[3] == 4
+    assert slot_counts("Gamma2", 5)[3] == 6
     for l in certifiable_lengths(50):
-        g1, g2 = make_template("Gamma1", l), make_template("Gamma2", l)
-        assert zz_flip_pair_count(g1) == (2 * l + 2) // 3
-        assert zz_flip_pair_count(g2) == (2 * l + 8) // 3
+        assert slot_counts("Gamma1", l)[3] == (2 * l + 2) // 3
+        assert slot_counts("Gamma2", l)[3] == (2 * l + 8) // 3
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +394,15 @@ def test_match_rate_follows_instance_probability():
 
 
 def test_estimate_mean_and_stderr():
-    est = CorrelatorEstimate(template_id="Gamma1(l=2)", family="Gamma1",
-                             l=2, match_count=400, signed_sum=200,
-                             overlap_fraction=0.0)
+    est = CorrelatorEstimate(family="Gamma1", l=2, match_count=400,
+                             signed_sum=200, overlap_fraction=0.0)
     assert est.mean == 0.5
     assert est.stderr == pytest.approx(((1 - 0.25) / 400) ** 0.5)
+
+
+def test_estimate_id_is_read_from_family_and_l():
+    assert CorrelatorEstimate("Gamma2", 8, 100, 40, 0.0).template_id == \
+        "Gamma2(l=8)"
 
 
 def test_scan_rejects_negative_burn_in():
@@ -422,7 +421,7 @@ def test_scan_shares_template_prefixes():
     # its trie has 119 edges
     templates = [make_template(f, l) for f in ("Gamma1", "Gamma2")
                  for l in certifiable_lengths(50)]
-    assert sum(t.n_measured for t in templates) == 680
+    assert sum(len(t.required) for t in templates) == 680
     edges, ends = 0, []
     nodes = [_trie(templates)]
     while nodes:
@@ -437,7 +436,7 @@ def test_scan_shares_template_prefixes():
 def test_scan_walks_a_deep_trie_without_recursion():
     # Gamma1(1502) has 1004 required slots, one trie level each
     templates = [make_template("Gamma1", 1502), make_template("Gamma2", 1502)]
-    assert templates[0].n_measured == 1004
+    assert len(templates[0].required) == 1004
     rng = np.random.default_rng(33)
     events = np.concatenate([
         _events_near(rng, t.slots, 3 * t.span, 0.0005) for t in templates])
@@ -452,8 +451,8 @@ def test_scan_window_must_fit_in_record():
     # even while a shorter template keeps the scan going; the long lost
     # prefix makes the scan hold its matches as indices
     t = Template(TemplateFamily.GAMMA1, 2,
-                 (SLOT_Z, SLOT_Y, SLOT_X, SLOT_FREE, SLOT_FREE), (0, 0))
-    short = Template(TemplateFamily.GAMMA1, 2, (SLOT_Z,), (0, 0))
+                 (SLOT_Z, SLOT_Y, SLOT_X, SLOT_FREE, SLOT_FREE))
+    short = Template(TemplateFamily.GAMMA1, 2, (SLOT_Z,))
     for lost in (0, 200):
         events = events_from_text("L " * lost + "Z+ Y+ X- L L Z+ Y+ X+ L")
         est, z = scan(_record(events), [t, short])
@@ -520,8 +519,7 @@ def _patterned_templates():
     # trie must not depend on the Gamma layouts
     slots = st.lists(st.integers(SLOT_FREE, SLOT_Z), min_size=1, max_size=7)
     return st.lists(slots, min_size=1, max_size=6).map(
-        lambda ss: [Template(TemplateFamily.GAMMA1, 2, tuple(s), (0, 0))
-                    for s in ss])
+        lambda ss: [Template(TemplateFamily.GAMMA1, 2, tuple(s)) for s in ss])
 
 
 def _check_against_reference(case):
@@ -603,7 +601,7 @@ def _planted_calls(draw):
     l = draw(st.sampled_from([11, 14, 20]))
     long = make_template(family, l)
     cut = draw(st.integers(2, long.span - 1))
-    prefix = Template(TemplateFamily.GAMMA1, 2, long.slots[:cut], (0, 0))
+    prefix = Template(TemplateFamily.GAMMA1, 2, long.slots[:cut])
     others = draw(st.lists(st.tuples(
         st.sampled_from(["Gamma1", "Gamma2"]),
         st.sampled_from([2, 5, 8, l - 3, l + 3])), max_size=3, unique=True))
