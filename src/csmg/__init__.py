@@ -9,7 +9,7 @@ entanglement length.
 """
 from .analysis import (ErrorModelFit, LEBoundRow, LEBoundTable,
                        TwoQubitMoments, XiEstimate, concurrence,
-                       direct_bounds, eof, eof_from_concurrence,
+                       direct_bounds, eof_from_concurrence,
                        fit_error_model, instance_probability,
                        max_direct_length, naive_tomography_K,
                        predict_gamma, predicted_template_mean,
@@ -35,7 +35,7 @@ __all__ = [
     "RunConfig", "StabilizerFrame", "Template", "TemplateFamily",
     "TemplateVerificationError", "TwoQubitMoments", "XiEstimate",
     "certifiable_lengths", "concurrence",
-    "direct_bounds", "encode_event", "eof", "eof_from_concurrence",
+    "direct_bounds", "encode_event", "eof_from_concurrence",
     "event_basis", "event_outcome", "fit_error_model",
     "instance_probability", "make_template",
     "max_direct_length", "naive_tomography_K", "open_record",

@@ -121,10 +121,6 @@ def eof_from_concurrence(c: float) -> float:
     return (-p * math.log(p) - (1.0 - p) * math.log1p(-p)) / math.log(2.0)
 
 
-def eof(m: TwoQubitMoments) -> float:
-    return eof_from_concurrence(concurrence(m))
-
-
 # ---------------------------------------------------------------------------
 # Direct bounds from measured correlators.
 
@@ -423,16 +419,22 @@ def _check_budget(n_budget: float) -> None:
 
 
 def naive_tomography_K(p_d: float, n_budget: float) -> int:
-    """Largest window size K with full-tomography cost 2^(2K)/p_d^K <= budget."""
+    """Largest window size K with full-tomography cost 2^(2K)/p_d^K <= budget.
+
+    The cost is (4/p_d)^K, searched upward from K = 0.  A cost that
+    overflows a double is past every finite budget, so any finite budget
+    of at least 1 is taken: at the largest double K is 511 at p_d = 1.
+    """
     if not 0.0 < p_d <= 1.0:
         raise ValueError("p_d must lie in (0, 1]")
     _check_budget(n_budget)
     ratio = 4.0 / p_d
-    k = max(0, int(math.floor(math.log(n_budget) / math.log(ratio))))
-    while ratio ** (k + 1) <= n_budget:
-        k += 1
-    while k > 0 and ratio ** k > n_budget:
-        k -= 1
+    k = 0
+    try:
+        while ratio ** (k + 1) <= n_budget:
+            k += 1
+    except OverflowError:
+        pass
     return k
 
 

@@ -116,7 +116,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not out:
         raise ConfigError("no output path: pass --out or set record_path")
     started = time.perf_counter()
-    record = simulate(cfg, method=args.method)
+    record = simulate(cfg)
     elapsed = time.perf_counter() - started
     write_record(out, record)
     rate = cfg.n_photons / elapsed if elapsed > 0 else float("inf")
@@ -236,8 +236,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="emit a click record")
     _add_source_flags(p)
-    p.add_argument("--method", choices=("table", "frame"),
-                   default="table", help="simulation path")
     p.add_argument("--out", help="output record path")
     p.set_defaults(func=cmd_simulate)
 

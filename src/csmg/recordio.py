@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
@@ -28,6 +28,7 @@ MAGIC = b"CSMG"
 VERSION = 1
 _HEADER = struct.Struct("<4sBQQ")
 HEADER_SIZE = _HEADER.size  # 21
+MAX_BURN_IN = (1 << 64) - 1  # the header stores the burn-in as uint64
 _VALIDATE_CHUNK = 1 << 20  # validation temporaries stay this small on any record
 
 EVENT_LOST = 0x00
@@ -79,30 +80,30 @@ def event_outcome(byte: int) -> int:
     return 1 - 2 * (byte & 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClickRecord:
-    """A photon-by-photon detection record.
+    """A photon-by-photon detection record; its fields cannot be reassigned.
 
     ``events`` is a uint8 array using the byte encoding above; the first
     ``burn_in`` photons were produced while the source settles and are
-    always skipped during scanning.
+    always skipped during scanning.  ``burn_in`` is an integer in
+    [0, MAX_BURN_IN], so every record fits the file header.
     """
 
     events: np.ndarray
     burn_in: int = 0
 
     def __post_init__(self) -> None:
-        self.events = np.ascontiguousarray(self.events, dtype=np.uint8)
-        self.burn_in = as_int("burn_in", self.burn_in)
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        object.__setattr__(self, "events",
+                           np.ascontiguousarray(self.events, dtype=np.uint8))
+        burn_in = as_int("burn_in", self.burn_in)
+        if not 0 <= burn_in <= MAX_BURN_IN:
+            raise ValueError(
+                f"burn_in must lie in [0, {MAX_BURN_IN}], got {burn_in}")
+        object.__setattr__(self, "burn_in", burn_in)
 
     def __len__(self) -> int:
         return int(self.events.shape[0])
-
-    @property
-    def n_photons(self) -> int:
-        return len(self)
 
     def lost_fraction(self) -> float:
         n = len(self)

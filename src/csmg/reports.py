@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,15 +131,6 @@ def fit_to_dict(fit: ErrorModelFit) -> dict:
     }
 
 
-def xi_to_dict(xi: XiEstimate) -> dict:
-    return {
-        "continuous": xi.continuous,
-        "grid": xi.grid,
-        "stderr_continuous": xi.stderr_continuous,
-        "method": xi.method,
-    }
-
-
 def write_summary_json(path: str, table: Optional[LEBoundTable] = None,
                        fit: Optional[ErrorModelFit] = None,
                        xi: Optional[XiEstimate] = None) -> None:
@@ -149,7 +141,7 @@ def write_summary_json(path: str, table: Optional[LEBoundTable] = None,
     if fit is not None:
         payload["fit"] = fit_to_dict(fit)
     if xi is not None:
-        payload["xi_indirect"] = xi_to_dict(xi)
+        payload["xi_indirect"] = asdict(xi)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=True)
         fh.write("\n")

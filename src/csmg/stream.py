@@ -259,11 +259,9 @@ def _finalize_to_byte(frame: StabilizerFrame, qubit: int, fin: int, coin_u: floa
 
 
 class _ChainTables(NamedTuple):
-    init: int                   # frontier state after the first emission
     out: np.ndarray             # (6*64,) event byte at [state << 6 | code]
     next_state: np.ndarray      # (6, 64) frontier state after the step
     final: np.ndarray           # (6, 64) last photon's byte; zz bit unused
-    code_map: np.ndarray        # (64,) map id of each code's step
     compose_pairs: np.ndarray   # (2^16,) id of "a then b" at [a | b << 8]
     apply: np.ndarray           # (ids*8,) image of state s at [id << 3 | s]
     # the same lookups for two adjacent photons, codes a, b as a | b << 8
@@ -281,7 +279,8 @@ _PAIR = np.dtype("<u2")
 def _map_closure(table_next: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Close the per-code state maps under composition; id 0 is the identity.
 
-    Returns the code -> map id, compose and apply lookups of ``_ChainTables``.
+    Returns each code's map id, and the compose and apply lookups of
+    ``_ChainTables``.
     """
     steps = [tuple(table_next[:, code].tolist()) for code in range(64)]
     maps = [tuple(range(6))]
@@ -344,9 +343,10 @@ def _tables() -> _ChainTables:
     global _TABLES
     if _TABLES is None:
         out, nxt, final = _digits(_OUT), _digits(_NEXT), _digits(_FINAL)
-        closure = _map_closure(nxt)
-        _TABLES = _ChainTables(_INIT, out.ravel(), nxt, final, *closure,
-                               *_pair_tables(out, nxt, *closure))
+        code_map, compose_pairs, apply = _map_closure(nxt)
+        _TABLES = _ChainTables(out.ravel(), nxt, final, compose_pairs, apply,
+                               *_pair_tables(out, nxt, code_map,
+                                             compose_pairs, apply))
     return _TABLES
 
 
@@ -448,7 +448,7 @@ def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
     # codes[0] holds no photon; it takes photon 0's unused pair-error bit.
     codes = np.empty(width + 2, dtype=np.uint8)[1:]
     tree = np.empty(1 << (width - 1).bit_length(), dtype=np.uint8)
-    state = tables.init
+    state = _INIT
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
         for off in range(0, m, sub):
@@ -472,8 +472,8 @@ def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
     return events
 
 
-def _simulate_frame(cfg: ExperimentConfig, forced: Optional[np.ndarray],
-                    chunk: int) -> np.ndarray:
+def _simulate_frame(cfg: ExperimentConfig,
+                    forced: Optional[np.ndarray]) -> np.ndarray:
     n = cfg.n_photons
     rng = np.random.default_rng(cfg.seed)
     events = np.empty(n, dtype=np.uint8)
@@ -482,24 +482,20 @@ def _simulate_frame(cfg: ExperimentConfig, forced: Optional[np.ndarray],
     prev_sp = 0
     prev_fin = 0
     prev_coin = 0.0
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
-        uniforms = rng.random((m, 4))
-        for t in range(m):
-            j = start + t
-            frame.emit_qubit(j)
-            if j > 0:
-                zz = uniforms[t, 1] < cfg.p_zz
-                _apply_step_noise(frame, j, prev_sp, 1 if zz else 0)
-                events[j - 1] = _finalize_to_byte(frame, j - 1, prev_fin, prev_coin)
-            if frame.width > 4:
-                raise AssertionError("frontier exceeded 4 qubits")
-            prev_sp = _sigma_choice(uniforms[t, 0], cfg.p_sigma)
-            if forced is not None:
-                prev_fin = int(forced[j])
-            else:
-                prev_fin = _fin_choice(uniforms[t, 2], cfg.p_d, cfg.q_x, q_xy)
-            prev_coin = uniforms[t, 3]
+    for j, (u_sigma, u_zz, u_fin, u_coin) in enumerate(rng.random((n, 4))):
+        frame.emit_qubit(j)
+        if j > 0:
+            zz = u_zz < cfg.p_zz
+            _apply_step_noise(frame, j, prev_sp, 1 if zz else 0)
+            events[j - 1] = _finalize_to_byte(frame, j - 1, prev_fin, prev_coin)
+        if frame.width > 4:
+            raise AssertionError("frontier exceeded 4 qubits")
+        prev_sp = _sigma_choice(u_sigma, cfg.p_sigma)
+        if forced is not None:
+            prev_fin = int(forced[j])
+        else:
+            prev_fin = _fin_choice(u_fin, cfg.p_d, cfg.q_x, q_xy)
+        prev_coin = u_coin
     if prev_sp:
         frame.apply_pauli(PauliString.single(_AXES[prev_sp - 1], n - 1))
     events[n - 1] = _finalize_to_byte(frame, n - 1, prev_fin, prev_coin)
@@ -521,7 +517,7 @@ def simulate(cfg: ExperimentConfig, method: str = "table",
     if method == "table":
         events = _simulate_table(cfg, forced, _chunk)
     elif method == "frame":
-        events = _simulate_frame(cfg, forced, _chunk)
+        events = _simulate_frame(cfg, forced)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ClickRecord(events=events, burn_in=cfg.burn_in)

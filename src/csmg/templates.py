@@ -466,7 +466,8 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
     only matches that do not overlap a previously kept one, giving
     independent samples at the cost of statistics.  Window starts begin
     at the record's burn_in, and ``stride`` restricts them to burn_in,
-    burn_in + stride, ...
+    burn_in + stride, ...; a stride of any size is taken, and one at
+    least as long as the run of window starts selects burn_in alone.
 
     All templates are matched in one pass over the record, ``chunk_size``
     window starts at a time.  Templates that begin with the same required
@@ -490,8 +491,6 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     events, anchor = record.events, record.burn_in
-    if anchor < 0:  # a ClickRecord's fields can be reassigned
-        raise ValueError(f"burn_in must be >= 0, got {anchor}")
     templates = list(templates)
     if not templates:
         return []
@@ -499,6 +498,9 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
     o_hi = events.shape[0] - min(spans) + 1
     if o_hi <= anchor:
         return [_estimate_from(t, _Accumulator(anchor)) for t in templates]
+    # every stride of at least o_hi - anchor selects the burn-in start
+    # alone; capped, the int64 modulus in _scan_range cannot overflow
+    stride = min(stride, o_hi - anchor)
     root = _trie(templates)
     if mode == "greedy":
         threads = 1

@@ -1,5 +1,6 @@
 """Bounds, error-model fitting, reach planning: checked against oracles."""
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,6 @@ from csmg.analysis import (
     TwoQubitMoments,
     concurrence,
     direct_bounds,
-    eof,
     eof_from_concurrence,
     fit_error_model,
     instance_probability,
@@ -105,7 +105,7 @@ def test_unphysical_spectrum_is_clamped_not_rejected():
     assert eigs[-1] < 0
     c = concurrence(m)
     assert 0.0 <= c <= 1.0
-    assert eof(m) >= 0.0
+    assert eof_from_concurrence(c) >= 0.0
 
 
 def test_eof_endpoints_and_formula():
@@ -503,6 +503,16 @@ def test_naive_tomography_cost_brackets_budget():
         if k >= 1:
             assert 4.0 ** k / p_d ** k <= budget
         assert 4.0 ** (k + 1) / p_d ** (k + 1) > budget
+
+
+def test_naive_tomography_takes_the_largest_budget():
+    # at the largest double the next cost overflows, and an overflowing
+    # cost is past every finite budget
+    assert naive_tomography_K(1.0, sys.float_info.max) == 511
+    assert naive_tomography_K(0.05, sys.float_info.max) == 161
+    assert naive_tomography_K(1.0, 2.0 ** 1022) == 511
+    assert naive_tomography_K(1.0, math.nextafter(2.0 ** 1022, 0.0)) == 510
+    assert naive_tomography_K(5e-324, sys.float_info.max) == 0
 
 
 @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf])

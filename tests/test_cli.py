@@ -417,8 +417,34 @@ def test_simulate_writes_deterministic_records(tmp_path):
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     rec = open_record(out1)
-    assert rec.n_photons == 20000
+    assert len(rec) == 20000
     assert rec.burn_in == 100
+
+
+def test_simulate_rejects_a_burn_in_past_the_header(tmp_path, capsys):
+    # the header stores the burn-in as uint64; this used to simulate and
+    # then fail in the record write with struct.error
+    out = tmp_path / "r.csmg"
+    assert run(["simulate", "--photons", "5000", "--burn-in",
+                str(2 ** 64), "--out", str(out)]) == 2
+    assert "burn_in" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_takes_a_stride_past_int64(tmp_path):
+    # the stride used to reach an int64 modulus and raise OverflowError
+    rec_path = tmp_path / "r.csmg"
+    events = np.frombuffer(events_from_text("Z+ Y+ Y+ Z+ " * 50), np.uint8)
+    write_record(rec_path, ClickRecord(events=events.copy(), burn_in=100))
+    texts = []
+    for stride in (100, 2 ** 63 - 1, 2 ** 63, 10 ** 29):
+        out = tmp_path / f"e{stride}.csv"
+        assert run(["scan", str(rec_path), "--l-values", "2", "--stride",
+                    str(stride), "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert _read_csv(tmp_path / "e100.csv")[1][:4] == ["Gamma1(l=2)", "2",
+                                                       "1", "1"]
+    assert texts[1:] == texts[:1] * 3
 
 
 def test_simulate_dark_detector(tmp_path):
@@ -615,6 +641,13 @@ def test_plan_non_finite_budget_exit_code_2(budget, capsys):
     assert "n_budget must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pd, k", [("1", 511), ("0.05", 161)])
+def test_plan_takes_the_largest_budget(pd, k, capsys):
+    # the tomography cost used to raise OverflowError past about 1e306
+    assert run(["plan", "--pd", pd, "--budget", "1.7976931348623157e308"]) == 0
+    assert f"tomography baseline: K = {k}\n" in capsys.readouterr().out
+
+
 def test_plan_prints_nothing_on_exit_code_2(capsys):
     # the reach rule fails after the tomography line could be printed
     assert run(["plan", "--pd", "0.5", "--min-expected", "0"]) == 2
@@ -663,6 +696,14 @@ def test_verify_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli, "verify_template", boom)
     assert run(["verify", "--lmax", "2"]) == 3
+
+
+def test_report_takes_the_largest_budget(tmp_path):
+    out_dir = tmp_path / "tables"
+    assert run(["report", "--budget", "1e308", "--psigmas", "0",
+                "--out-dir", str(out_dir)]) == 0
+    tomo = _read_csv(out_dir / "tomography_baseline.csv")
+    assert tomo[1] == ["0.05", "161"]
 
 
 def test_report_emits_planner_tables(tmp_path):

@@ -11,8 +11,8 @@ so the counts are deterministic.
 """
 import pytest
 
-from csmg.analysis import (TwoQubitMoments, direct_bounds, eof,
-                           predicted_template_mean)
+from csmg.analysis import (TwoQubitMoments, concurrence, direct_bounds,
+                           eof_from_concurrence, predicted_template_mean)
 from csmg.config import RunConfig
 from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import certifiable_lengths, scan
@@ -27,8 +27,9 @@ def _exact_xi(p_sigma, p_zz):
         return predicted_template_mean(family, l, p_sigma, p_zz)
 
     return max((l for l in certifiable_lengths(50)
-                if eof(TwoQubitMoments(mean("Gamma1", l), mean("Gamma1", l),
-                                       mean("Gamma2", l))) > 0.0),
+                if eof_from_concurrence(concurrence(TwoQubitMoments(
+                    mean("Gamma1", l), mean("Gamma1", l),
+                    mean("Gamma2", l)))) > 0.0),
                default=0)
 
 

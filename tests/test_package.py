@@ -59,3 +59,10 @@ def test_cold_path_builds_no_thread_pool_and_no_frame():
     # load: the thread pool is only for multi-range scans, and the chain
     # tables ship as a constant that only the tests rebuild through the frame
     assert _probe(_COLD_PROBE) == ["False", "10000"]
+
+
+def test_public_names_are_listed_once_and_exist():
+    # a name dropped from the imports but not from __all__ would fail
+    # only at a user's ``from csmg import *``
+    assert len(csmg.__all__) == len(set(csmg.__all__))
+    assert [name for name in csmg.__all__ if not hasattr(csmg, name)] == []

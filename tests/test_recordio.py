@@ -11,6 +11,7 @@ from csmg.recordio import (
     EVENT_LOST,
     HEADER_SIZE,
     MAGIC,
+    MAX_BURN_IN,
     VERSION,
     ClickRecord,
     RecordFormatError,
@@ -265,7 +266,7 @@ def test_lost_fraction_and_basis_counts():
                       dtype=np.uint8)
     rec = ClickRecord(events=events, burn_in=0)
     assert rec.lost_fraction() == pytest.approx(2 / 7)
-    assert rec.n_photons == 7
+    assert len(rec) == 7
     assert rec.basis_counts() == {"X": 1, "Y": 1, "Z": 3}
 
 
@@ -273,6 +274,19 @@ def test_record_rejects_bad_burn_in():
     events = np.array([0x06], dtype=np.uint8)
     with pytest.raises(ValueError):
         ClickRecord(events=events, burn_in=-1)
+
+
+def test_record_burn_in_fits_the_header(tmp_path):
+    # the header stores the burn-in as uint64: a larger one used to fail
+    # only at write time, with struct.error
+    events = np.array([0x06], dtype=np.uint8)
+    assert MAX_BURN_IN == 2 ** 64 - 1
+    for burn_in in (2 ** 64, 10 ** 30):
+        with pytest.raises(ValueError, match="burn_in"):
+            ClickRecord(events=events, burn_in=burn_in)
+    path = tmp_path / "max.csmg"
+    write_record(path, ClickRecord(events=events, burn_in=MAX_BURN_IN))
+    assert open_record(path).burn_in == MAX_BURN_IN
 
 
 @pytest.mark.parametrize("burn_in", [2.5, 2.0, True, "2"])

@@ -1,4 +1,6 @@
 """Template construction, verification, and the window scanner."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -405,15 +407,30 @@ def test_estimate_id_is_read_from_family_and_l():
         "Gamma2(l=8)"
 
 
-def test_scan_rejects_negative_burn_in():
-    # with any thread count, a negative start would index from the end
+def test_scan_never_sees_a_negative_burn_in():
+    # a negative start would index from the end; a ClickRecord rejects
+    # one when it is built and cannot be reassigned afterwards
     rec = _record(events_from_text("Z+ Y+ Y+ Z+ " * 50))
     t = make_template("Gamma1", 2)
     assert scan(rec, [t])[0].match_count == 50
-    rec.burn_in = -1  # a ClickRecord's fields can be reassigned
-    for threads in (1, 2):
-        with pytest.raises(ValueError, match="burn_in"):
-            scan(rec, [t], threads=threads)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.burn_in = -1
+    assert rec.burn_in == 0
+    assert scan(rec, [t])[0].match_count == 50
+
+
+@pytest.mark.parametrize("burn_in", [0, 3])
+def test_scan_takes_a_stride_past_int64(burn_in):
+    # (idx + offset) % stride runs in int64; a stride at least as long as
+    # the run of window starts selects the burn-in start alone
+    rec = _record(events_from_text("Z+ Y+ Y+ Z+ " * 50), burn_in=burn_in)
+    templates = [make_template("Gamma1", 2), make_template("Gamma2", 2)]
+    want = scan(rec, templates, stride=len(rec))
+    assert want[0].match_count == (burn_in % 4 == 0)
+    for stride in (2 ** 63 - 1, 2 ** 63, 10 ** 29):
+        for threads in (1, 2):
+            assert scan(rec, templates, stride=stride,
+                        threads=threads) == want
 
 
 def test_scan_shares_template_prefixes():
