@@ -20,7 +20,7 @@ from .pauli import FrameError, PauliLetter, PauliString, StabilizerFrame
 from .recordio import (ClickRecord, RecordFormatError, encode_event,
                        event_basis, event_outcome, open_record, write_record)
 from .stream import ExperimentConfig, simulate
-from .templates import (CorrelatorEstimate, Template, TemplateFamily,
+from .templates import (FAMILIES, CorrelatorEstimate, Template,
                         TemplateVerificationError, certifiable_lengths,
                         make_template, scan, template_k_product,
                         verify_template, verify_template_algebra,
@@ -32,7 +32,7 @@ __all__ = [
     "ClickRecord", "ConfigError", "CorrelatorEstimate",
     "ErrorModelFit", "ExperimentConfig", "FrameError", "LEBoundRow",
     "LEBoundTable", "PauliLetter", "PauliString", "RecordFormatError",
-    "RunConfig", "StabilizerFrame", "Template", "TemplateFamily",
+    "RunConfig", "StabilizerFrame", "Template", "FAMILIES",
     "TemplateVerificationError", "TwoQubitMoments", "XiEstimate",
     "certifiable_lengths", "concurrence",
     "direct_bounds", "encode_event", "eof_from_concurrence",

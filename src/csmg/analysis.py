@@ -16,15 +16,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .templates import (CorrelatorEstimate, FamilyLike, TemplateFamily,
-                        _checked, slot_counts)
+from .stream import check_probability, check_splitter
+from .templates import CorrelatorEstimate, _checked, slot_counts
 
 _THIRD = 1.0 / 3.0
-
-
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def _last_on_grid(holds: Callable[[int], bool]) -> int:
@@ -169,12 +164,9 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
     candidates = sorted(by_l)
     rows: List[LEBoundRow] = []
     for l in candidates:
-        d = by_l[l]
-        if not all(f.value in d and d[f.value].match_count > 0
-                   for f in TemplateFamily):
+        e1, e2 = (by_l[l].get(family) for family in ("Gamma1", "Gamma2"))
+        if any(e is None or e.match_count <= 0 for e in (e1, e2)):
             continue
-        e1 = d[TemplateFamily.GAMMA1.value]
-        e2 = d[TemplateFamily.GAMMA2.value]
         m1 = _clip_unit(e1.mean - z * e1.stderr)
         m2 = _clip_unit(e2.mean - z * e2.stderr)
         c_central, clamped_central = _concurrence_and_clamped(
@@ -213,7 +205,7 @@ def _mu_asymptotic(l: float, alpha: float, beta: float) -> float:
     return math.exp((2.0 * l + 8.0) / 3.0 * alpha + 2.0 * l / 3.0 * beta)
 
 
-def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
+def predict_gamma(family: str, l: int, p_sigma: float,
                   p_zz: float) -> float:
     """Asymptotic decay of a template mean with the two error rates.
 
@@ -229,7 +221,7 @@ def predict_gamma(family: FamilyLike, l: int, p_sigma: float,
     return _mu_asymptotic(l, *_log_rates(p_sigma, p_zz))
 
 
-def predicted_template_mean(family: FamilyLike, l: int, p_sigma: float,
+def predicted_template_mean(family: str, l: int, p_sigma: float,
                             p_zz: float) -> float:
     """Exact expected mean of the family's template at l under the
     stream's noise law.
@@ -239,8 +231,8 @@ def predicted_template_mean(family: FamilyLike, l: int, p_sigma: float,
     (1 - 2*p_zz).  Both exponents are integers, read from
     ``slot_counts(family, l)`` in O(1), so no template is built.
     """
-    _check_probability("p_sigma", p_sigma)
-    _check_probability("p_zz", p_zz)
+    check_probability("p_sigma", p_sigma)
+    check_probability("p_zz", p_zz)
     n_x, n_y, n_z, flips = slot_counts(family, l)
     return ((1.0 - 4.0 * p_sigma / 3.0) ** (n_x + n_y + n_z)
             * (1.0 - 2.0 * p_zz) ** flips)
@@ -353,7 +345,7 @@ class XiEstimate:
     ``continuous`` solves mean(l) = 1/3 over real l; ``grid`` is the
     largest supported separation whose predicted mean still exceeds 1/3
     (integer-valued, 0 when none qualifies).  Both are +inf when both
-    error rates vanish.
+    error rates vanish, and when the crossing lies past the largest double.
     """
 
     continuous: float
@@ -369,14 +361,18 @@ def xi_from_rates(p_sigma: float, p_zz: float) -> XiEstimate:
     clamped at 0 when even l = 0 is below threshold.  The grid value is
     the largest l at which predict_gamma's law still exceeds 1/3, found
     by _last_on_grid, which needs no cap on l: xi grows without bound as
-    the rates shrink.
+    the rates shrink.  Where the continuous root is past the largest
+    double, both values are inf.
     """
     alpha, beta = _log_rates(p_sigma, p_zz)
     if p_sigma == 0.0 and p_zz == 0.0:
         return XiEstimate(continuous=math.inf, grid=math.inf)
+    continuous = _continuous_crossing(alpha, beta)
+    if math.isinf(continuous):
+        # so is the grid point; the search would stop where 2.0 * l overflows
+        return XiEstimate(continuous=math.inf, grid=math.inf)
     grid = _last_on_grid(lambda l: _mu_asymptotic(l, alpha, beta) > _THIRD)
-    return XiEstimate(continuous=_continuous_crossing(alpha, beta),
-                      grid=float(grid))
+    return XiEstimate(continuous=continuous, grid=float(grid))
 
 
 def _crossing_terms(alpha: float, beta: float) -> Tuple[float, float]:
@@ -438,7 +434,7 @@ def naive_tomography_K(p_d: float, n_budget: float) -> int:
     return k
 
 
-def splitter_settings(family: FamilyLike, l: int) -> Tuple[float, float, float]:
+def splitter_settings(family: str, l: int) -> Tuple[float, float, float]:
     """(q_x, q_y, q_z) of the splitter that best feeds the template.
 
     The passive scheme sends each photon to one detector per basis, and
@@ -452,7 +448,7 @@ def splitter_settings(family: FamilyLike, l: int) -> Tuple[float, float, float]:
     return (rest if n_x else 0.0, p_p, rest if n_z else 0.0)
 
 
-def instance_probability(family: FamilyLike, l: int, p_d: float, q_x: float,
+def instance_probability(family: str, l: int, p_d: float, q_x: float,
                          q_y: float, q_z: float) -> float:
     """Per-offset probability that a window matches the template.
 
@@ -460,16 +456,12 @@ def instance_probability(family: FamilyLike, l: int, p_d: float, q_x: float,
     probability; free slots cost nothing.
     """
     n_x, n_y, n_z, _ = slot_counts(family, l)
-    _check_probability("p_d", p_d)
-    for name, q in (("q_x", q_x), ("q_y", q_y), ("q_z", q_z)):
-        _check_probability(name, q)
-    if abs(q_x + q_y + q_z - 1.0) > 1e-9:
-        raise ValueError("q_x + q_y + q_z must equal 1")
+    check_splitter(p_d, q_x, q_y, q_z)
     return (p_d ** (n_x + n_y + n_z)
             * q_x ** n_x * q_y ** n_y * q_z ** n_z)
 
 
-def max_direct_length(family: FamilyLike, p_d: float, n_budget: float, *,
+def max_direct_length(family: str, p_d: float, n_budget: float, *,
                       min_expected: float = 1.0) -> int:
     """Largest separation with >= min_expected expected matches in budget.
 

@@ -28,9 +28,9 @@ import time
 from dataclasses import fields
 from typing import List, Optional
 
-from .analysis import (TemplateFamily, direct_bounds, fit_error_model,
-                       instance_probability, max_direct_length,
-                       naive_tomography_K, splitter_settings, xi_e)
+from .analysis import (direct_bounds, fit_error_model, instance_probability,
+                       max_direct_length, naive_tomography_K,
+                       splitter_settings, xi_e)
 from .config import (ConfigError, RunConfig, override, parse_list,
                      parse_scalar, parse_value, read_config)
 from .recordio import RecordFormatError, open_record, write_record
@@ -40,7 +40,8 @@ from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
                       write_summary_json, write_tomography_csv,
                       write_xi_curve_csv, xi_curve_rows)
 from .stream import simulate
-from .templates import TemplateVerificationError, scan, verify_template
+from .templates import (FAMILIES, MODES, TemplateVerificationError, scan,
+                        verify_template)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +99,7 @@ def _add_template_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--families", dest="families",
                    help="comma-separated template families "
                         "(Gamma1, Gamma2)")
-    p.add_argument("--mode", dest="mode", choices=("all", "greedy"),
+    p.add_argument("--mode", dest="mode", choices=MODES,
                    help="count every match or non-overlapping only")
     p.add_argument("--stride", dest="stride", help="window start spacing")
     p.add_argument("--threads", dest="threads", help="scan worker threads")
@@ -181,10 +182,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     k = naive_tomography_K(p_d, budget)
     lines = [f"p_d = {p_d}, photon budget = {budget:g}",
              f"tomography baseline: K = {k}"]
-    for family in (TemplateFamily.GAMMA1, TemplateFamily.GAMMA2):
+    for family in FAMILIES:
         reach = max_direct_length(family, p_d, budget,
                                   min_expected=min_expected)
-        line = f"{family.value}: direct reach l = {reach}"
+        line = f"{family}: direct reach l = {reach}"
         if reach:
             qs = splitter_settings(family, reach)
             prob = instance_probability(family, reach, p_d, *qs)
@@ -267,7 +268,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="self-check the template constructions")
     p.add_argument("--lmax", dest="l_max", default="50",
                    help="largest separation to verify")
-    p.add_argument("--families", dest="families", default="Gamma1,Gamma2",
+    p.add_argument("--families", dest="families",
                    help="comma-separated families")
     p.add_argument("--windows", default="256",
                    help="simulated windows per template")

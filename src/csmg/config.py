@@ -16,8 +16,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple, get_type_hints
 
 from .stream import ExperimentConfig
-from .templates import (Template, TemplateFamily, _check_length,
-                        certifiable_lengths, make_template)
+from .templates import (FAMILIES, Template, _check_length,
+                        certifiable_lengths, check_family, check_scan,
+                        make_template)
 
 
 class ConfigError(Exception):
@@ -25,15 +26,16 @@ class ConfigError(Exception):
 
 
 _SCALARS: Dict[type, str] = {int: "an integer", float: "a number"}
-_FAMILY_NAMES = frozenset(family.value for family in TemplateFamily)
 
 
-def parse_scalar(key: str, kind: type, text: str) -> object:
-    """Read one value of ``kind`` (a family name, a number or text) for ``key``."""
-    if kind is TemplateFamily:
-        if text not in _FAMILY_NAMES:
-            raise ConfigError(f"{key}: unknown template family {text!r}")
-        return text
+def parse_scalar(key: str, kind: object, text: str) -> object:
+    """Read one value of ``kind`` for ``key``: a family name for FAMILIES,
+    a number for int or float, otherwise text."""
+    if kind is FAMILIES:
+        try:
+            return check_family(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     if kind not in _SCALARS:
         return text
     try:
@@ -43,7 +45,7 @@ def parse_scalar(key: str, kind: type, text: str) -> object:
                           f"got {text!r}") from None
 
 
-def parse_list(key: str, text: str, kind: type) -> tuple:
+def parse_list(key: str, text: str, kind: object) -> tuple:
     """Read a comma list of ``kind`` items; blank items are skipped."""
     return tuple(parse_scalar(key, kind, part.strip())
                  for part in text.split(",") if part.strip())
@@ -51,13 +53,13 @@ def parse_list(key: str, text: str, kind: type) -> tuple:
 
 # the comma-list keys and the type of one item; every other key is one
 # value of its field's type
-_LIST_ITEMS: Dict[str, type] = {"families": TemplateFamily, "l_values": int}
+_LIST_ITEMS: Dict[str, object] = {"families": FAMILIES, "l_values": int}
 
 
 @dataclass(frozen=True)
 class RunConfig(ExperimentConfig):
     n_photons: int = 1_000_000
-    families: Tuple[str, ...] = ("Gamma1", "Gamma2")
+    families: Tuple[str, ...] = FAMILIES
     l_max: int = 11
     l_values: Optional[Tuple[int, ...]] = None
     mode: str = "all"
@@ -71,22 +73,17 @@ class RunConfig(ExperimentConfig):
         (ConfigError, on the first broken one)."""
         super().__post_init__()
         for name in self.families:  # the families reader's name check
-            parse_scalar("families", TemplateFamily, name)
+            parse_scalar("families", FAMILIES, name)
         try:
             for l in self.separations():
                 _check_length(l)
+            if not self.families:
+                raise ValueError("families must name at least one template family")
+            if not self.separations():
+                raise ValueError("no valid separations selected")
+            check_scan(self.mode, self.stride, self.threads)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not self.families:
-            raise ConfigError("families must name at least one template family")
-        if not self.separations():
-            raise ConfigError("no valid separations selected")
-        if self.mode not in ("all", "greedy"):
-            raise ConfigError(f"mode must be 'all' or 'greedy', got {self.mode!r}")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     def separations(self) -> Tuple[int, ...]:
         if self.l_values is not None:

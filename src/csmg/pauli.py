@@ -14,7 +14,7 @@ builds a frame.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 
 class PauliLetter(Enum):

@@ -60,6 +60,15 @@ def as_int(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_burn_in(value) -> int:
+    """``value`` as a burn-in: an integer in [0, MAX_BURN_IN], so that it
+    fits the file header."""
+    burn_in = as_int("burn_in", value)
+    if not 0 <= burn_in <= MAX_BURN_IN:
+        raise ValueError(f"burn_in must lie in [0, {MAX_BURN_IN}], got {burn_in}")
+    return burn_in
+
+
 def encode_event(basis: int, outcome: int) -> int:
     """Pack a detection into one byte; basis is BASIS_X/Y/Z, outcome +1/-1."""
     if basis not in (BASIS_X, BASIS_Y, BASIS_Z):
@@ -96,11 +105,7 @@ class ClickRecord:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events",
                            np.ascontiguousarray(self.events, dtype=np.uint8))
-        burn_in = as_int("burn_in", self.burn_in)
-        if not 0 <= burn_in <= MAX_BURN_IN:
-            raise ValueError(
-                f"burn_in must lie in [0, {MAX_BURN_IN}], got {burn_in}")
-        object.__setattr__(self, "burn_in", burn_in)
+        object.__setattr__(self, "burn_in", check_burn_in(self.burn_in))
 
     def __len__(self) -> int:
         return int(self.events.shape[0])
@@ -136,11 +141,10 @@ def validate_events(events: np.ndarray, base_offset: int = HEADER_SIZE) -> None:
 
 
 def write_record(path: Union[str, os.PathLike], record: ClickRecord) -> None:
-    events = np.ascontiguousarray(record.events, dtype=np.uint8)
-    validate_events(events)
+    validate_events(record.events)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, events.shape[0], record.burn_in))
-        fh.write(events)
+        fh.write(_HEADER.pack(MAGIC, VERSION, len(record), record.burn_in))
+        fh.write(record.events)
 
 
 def _read_header(fh) -> Tuple[int, int]:

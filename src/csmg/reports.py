@@ -18,10 +18,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import (ErrorModelFit, LEBoundTable, TemplateFamily,
-                       XiEstimate, max_direct_length, naive_tomography_K,
-                       xi_from_rates)
-from .templates import CorrelatorEstimate, template_id
+from .analysis import (ErrorModelFit, LEBoundTable, XiEstimate,
+                       max_direct_length, naive_tomography_K, xi_from_rates)
+from .templates import FAMILIES, CorrelatorEstimate, template_id
 
 ESTIMATE_COLUMNS = ("template", "l", "n_matches", "signed_sum", "mean",
                     "stderr", "overlap_fraction")
@@ -171,7 +170,7 @@ def reach_rows(p_ds: Iterable[float], n_budget: float,
                min_expected: float = 1.0) -> List[Tuple[float, int, int]]:
     return [(p_d, *(max_direct_length(family, p_d, n_budget,
                                       min_expected=min_expected)
-                    for family in TemplateFamily))
+                    for family in FAMILIES))
             for p_d in p_ds]
 
 

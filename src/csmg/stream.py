@@ -52,13 +52,30 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .pauli import PauliString, StabilizerFrame
-from .recordio import EVENT_LOST, ClickRecord, as_int, encode_event
+from .recordio import (EVENT_LOST, ClickRecord, as_int, check_burn_in,
+                       encode_event)
 
 _CHUNK = 1 << 17  # keeps a chunk's codes and scan tree in cache
 _SUB = 1 << 14    # a sub-block's (k, 4) uniforms (512 KiB) stay in L2
 _AXES = "XYZ"
 # fin codes: 0 = detect X, 1 = detect Y, 2 = detect Z, 3 = lost
 FIN_LOST = 3
+
+
+def check_probability(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def check_splitter(p_d: float, q_x: float, q_y: float, q_z: float) -> None:
+    """The detection rules: p_d a probability, and the basis shares q >= 0
+    with sum 1."""
+    check_probability("p_d", p_d)
+    for name, q in (("q_x", q_x), ("q_y", q_y), ("q_z", q_z)):
+        if not q >= 0.0:  # not q < 0, so NaN fails too
+            raise ValueError(f"{name} must be >= 0")
+    if abs(q_x + q_y + q_z - 1.0) > 1e-9:
+        raise ValueError("q_x + q_y + q_z must equal 1")
 
 
 @dataclass(frozen=True)
@@ -81,22 +98,14 @@ class ExperimentConfig:
         for field in fields(ExperimentConfig):
             if not math.isfinite(getattr(self, field.name)):
                 raise ValueError(f"{field.name} must be finite")
-        for name in ("n_photons", "seed", "burn_in"):
+        for name in ("n_photons", "seed"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
+        object.__setattr__(self, "burn_in", check_burn_in(self.burn_in))
         if self.n_photons < 1:
             raise ValueError("n_photons must be >= 1")
-        if not 0.0 <= self.p_d <= 1.0:
-            raise ValueError("p_d must lie in [0, 1]")
-        for name in ("q_x", "q_y", "q_z"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if abs(self.q_x + self.q_y + self.q_z - 1.0) > 1e-9:
-            raise ValueError("q_x + q_y + q_z must equal 1")
-        for name in ("p_sigma", "p_zz"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        check_splitter(self.p_d, self.q_x, self.q_y, self.q_z)
+        check_probability("p_sigma", self.p_sigma)
+        check_probability("p_zz", self.p_zz)
         if self.tau_em <= 0.0:
             raise ValueError("tau_em must be > 0")
         if self.seed < 0:

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,16 +38,12 @@ _DEFAULT_CHUNK = 1 << 19
 _SPARSE_RATIO = 64
 
 
-class TemplateFamily(Enum):
-    GAMMA1 = "Gamma1"
-    GAMMA2 = "Gamma2"
-
-
-FamilyLike = Union[TemplateFamily, str]
 # A family's slots are head + period * k + tail with k = (l - 2) / 3, and
 # its certified pair is slots (first, first + l):  head, period, tail, first
-_FORMS = {TemplateFamily.GAMMA1: ("ZYY", "_YY", "Z", 0),
-          TemplateFamily.GAMMA2: ("ZX", "_YY", "_XZ", 1)}
+_FORMS = {"Gamma1": ("ZYY", "_YY", "Z", 0),
+          "Gamma2": ("ZX", "_YY", "_XZ", 1)}
+FAMILIES = tuple(_FORMS)
+MODES = ("all", "greedy")
 
 
 class TemplateVerificationError(Exception):
@@ -66,11 +61,29 @@ def _check_length(l: int) -> None:
                          f"(need l >= 2, l = 2 mod 3)")
 
 
-def _checked(family: FamilyLike, l: int) -> TemplateFamily:
-    """The family as a TemplateFamily; rejects an unknown family or l."""
-    family = TemplateFamily(family)
+def check_family(family: str) -> str:
+    """The family's name; rejects a name not in FAMILIES."""
+    if family not in FAMILIES:  # a tuple test, so any input gets ValueError
+        raise ValueError(f"unknown template family {family!r}")
+    return family
+
+
+def _checked(family: str, l: int) -> str:
+    """The family's name; rejects an unknown family or l."""
+    check_family(family)
     _check_length(l)
     return family
+
+
+def check_scan(mode: str, stride: int, threads: int) -> None:
+    """The scan settings' rules: a mode in MODES, stride and threads >= 1."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, "
+                         f"got {mode!r}")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
 
 def _pattern_counts(pattern: str) -> Tuple[int, int, int, int]:
@@ -83,7 +96,7 @@ def _pattern_counts(pattern: str) -> Tuple[int, int, int, int]:
             sum(a != b for a, b in zip(anti, anti[1:])))
 
 
-def slot_counts(family: FamilyLike, l: int) -> Tuple[int, int, int, int]:
+def slot_counts(family: str, l: int) -> Tuple[int, int, int, int]:
     """(#X, #Y, #Z, flip-sensitive pairs) of the family's template at l,
     in O(1): each count is affine in the number k of periods, so it is read
     off the two shortest patterns, k = 0 and 1, and no template is built."""
@@ -93,9 +106,9 @@ def slot_counts(family: FamilyLike, l: int) -> Tuple[int, int, int, int]:
     return tuple(a + k * (b - a) for a, b in zip(c0, c1))
 
 
-def template_id(family: FamilyLike, l: int) -> str:
+def template_id(family: str, l: int) -> str:
     """``make_template(family, l).id``, without building the template."""
-    return f"{_checked(family, l).value}(l={l})"
+    return f"{_checked(family, l)}(l={l})"
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,7 @@ class Template:
     a basis code otherwise.
     """
 
-    family: TemplateFamily
+    family: str
     l: int
     slots: Tuple[int, ...]
 
@@ -137,9 +150,8 @@ class Template:
         return first, first + self.l
 
 
-def make_template(family: FamilyLike, l: int) -> Template:
-    family = _checked(family, l)
-    head, period, tail, _ = _FORMS[family]
+def make_template(family: str, l: int) -> Template:
+    head, period, tail, _ = _FORMS[_checked(family, l)]
     pattern = head + period * ((l - 2) // 3) + tail
     return Template(family, l, tuple(map(_SLOT_NAMES.index, pattern)))
 
@@ -484,10 +496,7 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
     signed sums and overlap fractions are bit-identical for any ``chunk_size``
     and ``threads``.
     """
-    if mode not in ("all", "greedy"):
-        raise ValueError(f"unknown scan mode {mode!r}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    check_scan(mode, stride, threads)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     events, anchor = record.events, record.burn_in
@@ -504,7 +513,7 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
     root = _trie(templates)
     if mode == "greedy":
         threads = 1
-    bounds = np.linspace(anchor, o_hi, max(1, threads) + 1).astype(np.int64)
+    bounds = np.linspace(anchor, o_hi, threads + 1).astype(np.int64)
     ranges = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
     def run(o_range: Tuple[int, int]) -> List[_Accumulator]:
@@ -529,7 +538,7 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
 def _estimate_from(template: Template, acc: _Accumulator) -> CorrelatorEstimate:
     overlap = acc.overlaps / acc.count if acc.count else 0.0
     return CorrelatorEstimate(
-        family=template.family.value,
+        family=template.family,
         l=template.l,
         match_count=acc.count,
         signed_sum=acc.count - 2 * acc.parity,

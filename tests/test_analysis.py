@@ -217,7 +217,7 @@ def test_predict_gamma_examples():
         predict_gamma("Gamma1", 2, 0.76, 0.0)
     with pytest.raises(ValueError):
         predict_gamma("Gamma1", 2, 0.0, 0.51)
-    with pytest.raises(ValueError, match="not a valid TemplateFamily"):
+    with pytest.raises(ValueError, match="unknown template family"):
         predict_gamma("Gamma3", 2, 0.0, 0.0)
     with pytest.raises(ValueError, match="separation 3 is not supported"):
         predict_gamma("Gamma2", 3, 0.0, 0.0)
@@ -455,6 +455,15 @@ def test_xi_noiseless_is_unbounded():
     est = xi_from_rates(0.0, 0.0)
     assert math.isinf(est.continuous)
     assert math.isinf(est.grid)
+
+
+@pytest.mark.parametrize("p_sigma, p_zz",
+                         [(0.0, 1e-310), (0.0, 5e-324), (1e-310, 0.0)])
+def test_xi_past_the_largest_double_is_unbounded(p_sigma, p_zz):
+    # the crossing lies past the largest double, and so does the grid's;
+    # the grid used to stop at 8.99e307, where 2.0 * l overflows
+    est = xi_from_rates(p_sigma, p_zz)
+    assert (est.continuous, est.grid) == (math.inf, math.inf)
 
 
 def test_xi_decreases_with_noise():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csmg.analysis import instance_probability, predicted_template_mean
 from csmg.cli import _load_config, build_parser, run
 from csmg.config import (
     ConfigError,
@@ -21,7 +22,7 @@ from csmg.recordio import ClickRecord, open_record, write_record
 from csmg.reports import read_estimates_csv, write_estimates_csv
 from csmg.stream import ExperimentConfig
 from csmg.templates import (CorrelatorEstimate, make_template, scan,
-                            verify_template_stream)
+                            slot_counts, verify_template_stream)
 
 from helpers import events_from_text
 
@@ -259,6 +260,44 @@ def test_run_config_checks_scan_rules_when_built(field, value, message):
         RunConfig(**{field: value})
 
 
+def _scan_short_record(**kwargs):
+    record = ClickRecord(events=np.zeros(16, np.uint8))
+    return scan(record, [make_template("Gamma1", 2)], **kwargs)
+
+
+# every entry point of each rule; their texts must agree, apart from the
+# "families: " key that RunConfig puts before a family's
+_RULE_ENTRY_POINTS = {
+    "family": [lambda: make_template("Bogus", 5),
+               lambda: slot_counts("Bogus", 5),
+               lambda: RunConfig(families=("Bogus",))],
+    "mode": [lambda: _scan_short_record(mode="eager"),
+             lambda: RunConfig(mode="eager")],
+    "stride": [lambda: _scan_short_record(stride=0),
+               lambda: RunConfig(stride=0)],
+    "threads": [lambda: _scan_short_record(threads=0),
+                lambda: RunConfig(threads=0)],
+    "burn_in": [lambda: ExperimentConfig(n_photons=10, burn_in=2 ** 64),
+                lambda: ClickRecord(events=np.zeros(4, np.uint8),
+                                    burn_in=2 ** 64)],
+    "q_x": [lambda: ExperimentConfig(n_photons=10, q_x=-0.1, q_y=0.55,
+                                     q_z=0.55),
+            lambda: instance_probability("Gamma1", 5, 0.5, -0.1, 0.55, 0.55)],
+    "p_sigma": [lambda: ExperimentConfig(n_photons=10, p_sigma=1.5),
+                lambda: predicted_template_mean("Gamma1", 5, 1.5, 0.0)],
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_RULE_ENTRY_POINTS))
+def test_each_rule_has_one_message_from_every_entry_point(rule):
+    messages = []
+    for call in _RULE_ENTRY_POINTS[rule]:
+        with pytest.raises((ValueError, ConfigError)) as err:
+            call()
+        messages.append(str(err.value).removeprefix("families: "))
+    assert len(set(messages)) == 1, messages
+
+
 def test_override_revalidates():
     cfg = RunConfig()
     assert override(cfg, seed=5).seed == 5
@@ -349,7 +388,7 @@ def test_estimates_csv_names_the_row_of_an_unknown_family(tmp_path, capsys):
     rows[1][0] = "Bogus(l=2)"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    with pytest.raises(ValueError, match="not a valid TemplateFamily") as err:
+    with pytest.raises(ValueError, match="unknown template family") as err:
         read_estimates_csv(path)
     assert str(path) in str(err.value)
     assert "in estimates row ['Bogus(l=2)'" in str(err.value)

@@ -1,4 +1,5 @@
 """Package-level guards: what importing csmg pulls in."""
+import ast
 import os
 import subprocess
 import sys
@@ -66,3 +67,27 @@ def test_public_names_are_listed_once_and_exist():
     # only at a user's ``from csmg import *``
     assert len(csmg.__all__) == len(set(csmg.__all__))
     assert [name for name in csmg.__all__ if not hasattr(csmg, name)] == []
+
+
+def _unused_imports(path):
+    """Names that ``path``'s import statements bind and its code never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_import_only_what_they_use():
+    # an import left behind by a deletion reads as a dependency that is
+    # not there; __init__.py imports to re-export, so it is not checked
+    package = Path(csmg.__file__).resolve().parent
+    unused = {path.name: _unused_imports(path)
+              for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}

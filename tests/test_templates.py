@@ -11,13 +11,13 @@ from csmg.pauli import PauliString
 from csmg.recordio import EVENT_LOST, ClickRecord
 from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import (
+    FAMILIES,
     SLOT_FREE,
     SLOT_X,
     SLOT_Y,
     SLOT_Z,
     CorrelatorEstimate,
     Template,
-    TemplateFamily,
     TemplateVerificationError,
     certifiable_lengths,
     make_template,
@@ -117,11 +117,10 @@ def test_off_grid_lengths_rejected():
 
 
 def test_make_template_accepts_family_spellings():
-    for family in TemplateFamily:
-        assert make_template(family.value, 5) == make_template(family, 5)
-        assert make_template(family, 5).family is family
+    for family in FAMILIES:
+        assert make_template(family, 5).family == family
     for build in (make_template, slot_counts):
-        with pytest.raises(ValueError, match="not a valid TemplateFamily"):
+        with pytest.raises(ValueError, match="unknown template family"):
             build("Gamma3", 5)
 
 
@@ -206,7 +205,7 @@ def test_algebra_rejects_every_single_slot_change():
 def test_verify_rejects_wrong_phase():
     # the generator product of Z Y X Y Z is -Z Y X Y Z: its letters are
     # the slots', so only the phase can reject it
-    bad = Template(TemplateFamily.GAMMA2, 2,
+    bad = Template("Gamma2", 2,
                    (SLOT_Z, SLOT_Y, SLOT_X, SLOT_Y, SLOT_Z))
     assert template_k_product(bad).phase == -1
     with pytest.raises(TemplateVerificationError, match="phase"):
@@ -467,9 +466,9 @@ def test_scan_window_must_fit_in_record():
     # trailing free slots may not reach past the record's last photon,
     # even while a shorter template keeps the scan going; the long lost
     # prefix makes the scan hold its matches as indices
-    t = Template(TemplateFamily.GAMMA1, 2,
+    t = Template("Gamma1", 2,
                  (SLOT_Z, SLOT_Y, SLOT_X, SLOT_FREE, SLOT_FREE))
-    short = Template(TemplateFamily.GAMMA1, 2, (SLOT_Z,))
+    short = Template("Gamma1", 2, (SLOT_Z,))
     for lost in (0, 200):
         events = events_from_text("L " * lost + "Z+ Y+ X- L L Z+ Y+ X+ L")
         est, z = scan(_record(events), [t, short])
@@ -536,7 +535,7 @@ def _patterned_templates():
     # trie must not depend on the Gamma layouts
     slots = st.lists(st.integers(SLOT_FREE, SLOT_Z), min_size=1, max_size=7)
     return st.lists(slots, min_size=1, max_size=6).map(
-        lambda ss: [Template(TemplateFamily.GAMMA1, 2, tuple(s)) for s in ss])
+        lambda ss: [Template("Gamma1", 2, tuple(s)) for s in ss])
 
 
 def _check_against_reference(case):
@@ -618,7 +617,7 @@ def _planted_calls(draw):
     l = draw(st.sampled_from([11, 14, 20]))
     long = make_template(family, l)
     cut = draw(st.integers(2, long.span - 1))
-    prefix = Template(TemplateFamily.GAMMA1, 2, long.slots[:cut])
+    prefix = Template("Gamma1", 2, long.slots[:cut])
     others = draw(st.lists(st.tuples(
         st.sampled_from(["Gamma1", "Gamma2"]),
         st.sampled_from([2, 5, 8, l - 3, l + 3])), max_size=3, unique=True))
