@@ -16,8 +16,10 @@ is built.
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 template verification failure.  analyze, plan and report compute
 everything before they write, so on exit 2 they leave no file and no
-result line.  Scan threads are capped by the CPU count and by the
-CSMG_THREADS environment variable.
+result line; simulate writes its record under a temporary name and
+renames it onto ``--out`` only once it is whole, so a failed run leaves
+no partial record and keeps any file already there.  Scan threads are
+capped by the CPU count and by the CSMG_THREADS environment variable.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .analysis import (direct_bounds, fit_error_model, instance_probability,
                        splitter_settings, xi_e)
 from .config import (ConfigError, RunConfig, override, parse_list,
                      parse_scalar, parse_value, read_config)
-from .recordio import RecordFormatError, open_record, write_record
+from .recordio import RecordFormatError, open_record, record_writer
 from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
                       read_estimates_csv, tomography_rows, write_bounds_csv,
                       write_estimates_csv, write_reach_csv,
@@ -117,12 +119,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not out:
         raise ConfigError("no output path: pass --out or set record_path")
     started = time.perf_counter()
-    record = simulate(cfg)
+    # each chunk is validated and written as it comes; ``out`` is replaced
+    # only once the whole record is on disk
+    with record_writer(out, cfg.n_photons, cfg.burn_in) as writer:
+        simulate(cfg, sink=writer.write)
     elapsed = time.perf_counter() - started
-    write_record(out, record)
     rate = cfg.n_photons / elapsed if elapsed > 0 else float("inf")
     print(f"wrote {out}: {cfg.n_photons} photons "
-          f"(lost fraction {record.lost_fraction():.4f}, "
+          f"(lost fraction {writer.lost / cfg.n_photons:.4f}, "
           f"{rate:.3g} photons/s)")
     return 0
 

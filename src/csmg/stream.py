@@ -23,12 +23,15 @@ quadruples, so a (config, seed) pair yields a bit-identical record
 whether it runs through the compiled transition tables or the reference
 stabilizer frame, on any host, with any chunk size.
 
-The table path works a chunk (2^17 photons) at a time.  It draws the
-chunk's uniforms in sub-blocks of 2^14 photons into one reused (k, 4)
-buffer and, while that is still in cache, transposes it into four
-contiguous columns, so every decision is a contiguous compare on one
-column.  Each photon's decisions become a 6-bit step code.  The basis
-and loss decision is ``(u >= t_x) + (u >= t_xy) + (u >= p_d)``, with
+The table path works a chunk (2^17 photons) at a time and hands on
+each chunk's event bytes from one reused buffer, so a run of any length
+needs memory for one chunk: ``csmg simulate`` writes each chunk to disk
+as it comes.  It draws the chunk's uniforms in sub-blocks of 2^14
+photons into one reused (k, 4) buffer and, while that is still in
+cache, transposes it into four contiguous columns, so every decision is
+a contiguous compare on one column.  Each photon's decisions become a
+6-bit step code.  The basis and loss decision is
+``(u >= t_x) + (u >= t_xy) + (u >= p_d)``, with
 thresholds found once per run as the smallest doubles whose quotient by
 p_d reaches q_x and q_x + q_y: correctly rounded division is monotone,
 so this equals the reference path's ``u / p_d`` tests exactly.  The
@@ -47,13 +50,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .pauli import PauliString, StabilizerFrame
-from .recordio import (EVENT_LOST, ClickRecord, as_int, check_burn_in,
-                       encode_event)
+from .recordio import (EVENT_LOST, MAX_PHOTONS, ClickRecord, as_int,
+                       check_burn_in, encode_event)
 
 _CHUNK = 1 << 17  # keeps a chunk's codes and scan tree in cache
 _SUB = 1 << 14    # a sub-block's (k, 4) uniforms (512 KiB) stay in L2
@@ -96,13 +99,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # not fields(self): RunConfig's own fields are not numbers
         for field in fields(ExperimentConfig):
-            if not math.isfinite(getattr(self, field.name)):
+            value = getattr(self, field.name)
+            # a Python int is finite, and math.isfinite overflows on one
+            # past the double range; the integer and range rules read it
+            if not isinstance(value, int) and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite")
         for name in ("n_photons", "seed"):
             object.__setattr__(self, name, as_int(name, getattr(self, name)))
         object.__setattr__(self, "burn_in", check_burn_in(self.burn_in))
         if self.n_photons < 1:
             raise ValueError("n_photons must be >= 1")
+        if self.n_photons > MAX_PHOTONS:  # the header's uint64
+            raise ValueError(f"n_photons must be <= {MAX_PHOTONS}")
         check_splitter(self.p_d, self.q_x, self.q_y, self.q_z)
         check_probability("p_sigma", self.p_sigma)
         check_probability("p_zz", self.p_zz)
@@ -439,23 +447,26 @@ def _normalize_forced(forced_bases, n: int) -> Optional[np.ndarray]:
 
 
 def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
-                    chunk: int) -> np.ndarray:
+                    chunk: int) -> Iterator[np.ndarray]:
+    """Yield the record's event bytes in photon order, about ``chunk`` at a
+    time, each piece from one buffer that the next piece overwrites."""
     tables = _tables()
     cuts = _fin_cuts(cfg)
     n = cfg.n_photons
     rng = np.random.default_rng(cfg.seed)
-    events = np.empty(n, dtype=np.uint8)
     width = min(chunk, n)
     sub = min(_SUB, width)
     rows = np.empty((sub, 4))
     cols = np.empty((4, sub))
     scratch = np.empty(sub, dtype=np.uint8)
     # codes[t] encodes photon start + t - 1; codes[0] carries the previous
-    # chunk's last photon.  It takes one single step, so the scan starts at
-    # codes[1] and events[start], both at even addresses for an even chunk:
-    # a pair write to an odd address goes through a temporary.  At start 0,
-    # codes[0] holds no photon; it takes photon 0's unused pair-error bit.
+    # chunk's last photon.  It takes one single step into out[0], so the
+    # scan starts at codes[1] and out[1], both at even addresses for an
+    # even chunk: a pair write to an odd address goes through a temporary.
+    # At start 0, codes[0] holds no photon; it takes photon 0's unused
+    # pair-error bit.  The last chunk's out[m] takes the last photon.
     codes = np.empty(width + 2, dtype=np.uint8)[1:]
+    out = np.empty(width + 2, dtype=np.uint8)[1:]
     tree = np.empty(1 << (width - 1).bit_length(), dtype=np.uint8)
     state = _INIT
     for start in range(0, n, chunk):
@@ -471,14 +482,15 @@ def _simulate_table(cfg: ExperimentConfig, forced: Optional[np.ndarray],
                           codes[off:off + k + 1], scratch[:k])
         if start:  # photon 0 finalizes no predecessor
             code = int(codes[0])
-            events[start - 1] = tables.out[(state << 6) | code]
+            out[0] = tables.out[(state << 6) | code]
             state = int(tables.next_state[state, code])
         if m > 1:
-            state = _scan_chain(codes[1:m], events[start:start + m - 1],
-                                state, tables, tree)
+            state = _scan_chain(codes[1:m], out[1:m], state, tables, tree)
         codes[0] = codes[m]
-    events[n - 1] = tables.final[state, codes[0]]
-    return events
+        if start + m == n:
+            out[m] = tables.final[state, codes[0]]
+            m += 1
+        yield out[0 if start else 1:m]
 
 
 def _simulate_frame(cfg: ExperimentConfig,
@@ -512,7 +524,9 @@ def _simulate_frame(cfg: ExperimentConfig,
 
 
 def simulate(cfg: ExperimentConfig, method: str = "table",
-             forced_bases=None, _chunk: int = _CHUNK) -> ClickRecord:
+             forced_bases=None, _chunk: int = _CHUNK,
+             sink: Optional[Callable[[np.ndarray], None]] = None,
+             ) -> Optional[ClickRecord]:
     """Run the source and return its click record.
 
     ``method`` selects the execution path: "table" (the default) is the
@@ -521,12 +535,25 @@ def simulate(cfg: ExperimentConfig, method: str = "table",
     ``forced_bases`` replaces the random basis splitter with a fixed
     per-photon schedule (every photon is then detected); used by the
     template self-checks.
+    With ``sink``, no record is kept and None is returned: the event
+    bytes go to ``sink`` in photon order, one piece per call, in a buffer
+    that the next piece overwrites.  ``csmg simulate`` writes them to
+    disk this way.
     """
     forced = _normalize_forced(forced_bases, cfg.n_photons)
     if method == "table":
-        events = _simulate_table(cfg, forced, _chunk)
+        pieces = _simulate_table(cfg, forced, _chunk)
     elif method == "frame":
-        events = _simulate_frame(cfg, forced)
+        pieces = (_simulate_frame(cfg, forced),)
     else:
         raise ValueError(f"unknown method {method!r}")
+    if sink is not None:
+        for piece in pieces:
+            sink(piece)
+        return None
+    events = np.empty(cfg.n_photons, dtype=np.uint8)
+    done = 0
+    for piece in pieces:
+        events[done:done + piece.shape[0]] = piece
+        done += piece.shape[0]
     return ClickRecord(events=events, burn_in=cfg.burn_in)

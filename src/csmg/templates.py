@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .pauli import PauliString
-from .recordio import BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z, ClickRecord
+from .recordio import (BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z, ClickRecord,
+                       read_events)
 
 # a slot holds the basis code a record byte carries in ``byte >> 1``, so
 # the scan compares record bytes with slots directly
@@ -36,6 +37,11 @@ _DEFAULT_CHUNK = 1 << 19
 # A trie node's starts turn from a boolean mask into an index array once
 # fewer than one window start in _SPARSE_RATIO survives.
 _SPARSE_RATIO = 64
+# Dense masks made with a scan range's block buffer, for trie depths 2 to
+# 1 + _MASK_ROWS.  Each required slot keeps about a third of the starts
+# or fewer, so masks turn sparse within a few depths: on the benchmarks'
+# records no dense AND runs deeper than depth 4.
+_MASK_ROWS = 4
 
 
 # A family's slots are head + period * k + tail with k = (l - 2) / 3, and
@@ -383,11 +389,19 @@ def _trie(templates: Sequence[Template]) -> _TrieNode:
     return root
 
 
-def _scan_range(events: np.ndarray, templates: Sequence[Template],
+def _scan_range(record: ClickRecord, templates: Sequence[Template],
                 root: _TrieNode, o_lo: int, o_hi: int, anchor: int,
                 stride: int, mode: str,
                 chunk_size: int) -> List[_Accumulator]:
     """Walk the trie over window starts [o_lo, o_hi), block by block.
+
+    Each block's bytes, with the halo of span - 1 that its last windows
+    reach into, are copied by ``read_events`` into a buffer made once per
+    range, and its basis codes, per-basis masks and dense masks go to
+    buffers made with it, so a scan of any record holds a few blocks'
+    worth of memory and makes no block-sized array per block.  A dense
+    mask is made for a trie depth only once an AND at that depth needs
+    one, so a template's length does not size the buffers.
 
     Within a block the walk is depth first on an explicit stack, so a
     template of any length needs no recursion.  A node's starts are the
@@ -396,37 +410,54 @@ def _scan_range(events: np.ndarray, templates: Sequence[Template],
     photon ``pos`` was detected in basis ``code``: a boolean mask, ANDed
     with a shifted view of ``bas == code``, or, once fewer than one start
     in _SPARSE_RATIO is left, a sorted index array filtered by gathering.
-    They are made when the child is popped, not when it is pushed, so at
-    most one mask per trie level is alive; holding every pending
-    sibling's mask cost about 14% of the greedy_lossless benchmark's
-    photons/s on a 2-core Xeon.  A node that keeps no start ends its
+    They are made when the child is popped, not when it is pushed, so one
+    mask per trie depth is enough: a sibling popped later overwrites a
+    node's mask only once the node's subtree is done.  Holding every
+    pending sibling's mask cost about 14% of the greedy_lossless
+    benchmark's photons/s on a 2-core Xeon.  A node that keeps no start ends its
     subtree: its descendants' starts are subsets of its own, so none of
     its ends is tallied and none of its children is walked.  On the
     rescan_l50 benchmark's record (p_d 0.5, the l <= 50 grid) that leaves
     about 31 of the 119 edges walked per block, 4 of them dense.
     The outcome parity is gathered only at the matches a template reports.
     """
-    n = events.shape[0]
+    n = len(record)
     spans = [t.span for t in templates]
     positions = [np.array([p for p, _ in t.required], dtype=np.intp)
                  for t in templates]
     halo = max(spans) - 1
     accs = [_Accumulator(o_lo) for _ in templates]
+    size = min(chunk_size, o_hi - o_lo) + halo
+    # One allocation holds the block, its basis codes, a mask per basis
+    # and _MASK_ROWS dense masks (depth 1 reads the basis masks).  glibc
+    # returns free heap memory to the system once more than twice its
+    # mmap threshold is free, and raises that threshold to the largest
+    # mapped block freed, so after two scans this block stays in the
+    # heap.  Six 512 KiB buffers freed together passed that limit on
+    # every scan: about 770 pages were faulted in again per rescan_l50
+    # scan, about 4 of its 45 ms on a 2-core Xeon VM.
+    rows = np.empty((5 + _MASK_ROWS, size), dtype=np.uint8)
+    block_buf, bas_buf = rows[0], rows[1]
+    hit_bufs = {code: rows[1 + code].view(bool)
+                for code in (SLOT_X, SLOT_Y, SLOT_Z)}
+    # masks[d - 2] for trie depth d; a deeper dense AND appends its own,
+    # kept to the end of the range
+    masks = list(rows[5:].view(bool))
     for s0 in range(o_lo, o_hi, chunk_size):
         s1 = min(s0 + chunk_size, o_hi)
         width = s1 - s0
-        block = np.asarray(events[s0:min(s1 + halo, n)])
-        if block.shape[0] < width + halo:
-            # the last blocks are padded so every slot view has full width;
-            # starts whose window passes the end are cut at ``limit``
-            block = np.concatenate(
-                [block, np.zeros(width + halo - block.shape[0], np.uint8)])
-        bas = block >> 1
+        block = block_buf[:width + halo]
+        filled = min(s1 + halo, n) - s0
+        read_events(record, s0, block[:filled])
+        # the last blocks are padded so every slot view has full width;
+        # starts whose window passes the end are cut at ``limit``
+        block[filled:] = 0
+        bas = np.right_shift(block, 1, out=bas_buf[:width + halo])
         hits = {}
-        # (edge into node, node, its parent's starts)
-        stack: List[tuple] = [(None, root, None)]
+        # (edge into node, node, its parent's starts, node depth)
+        stack: List[tuple] = [(None, root, None, 0)]
         while stack:
-            key, node, cur = stack.pop()
+            key, node, cur, depth = stack.pop()
             if key is not None:
                 pos, code = key
                 if cur is not None and cur.dtype != bool:
@@ -436,10 +467,14 @@ def _scan_range(events: np.ndarray, templates: Sequence[Template],
                 else:
                     hit = hits.get(code)
                     if hit is None:
-                        hit = hits[code] = bas == code
+                        hit = hits[code] = np.equal(
+                            bas, code, out=hit_bufs[code][:width + halo])
                     sel = hit[pos:pos + width]
                     if cur is not None:
-                        sel = sel & cur
+                        while len(masks) <= depth - 2:
+                            masks.append(np.empty(size, dtype=bool))
+                        sel = np.bitwise_and(sel, cur,
+                                             out=masks[depth - 2][:width])
                     alive = np.count_nonzero(sel)
                     if alive == 0:
                         continue
@@ -464,7 +499,7 @@ def _scan_range(events: np.ndarray, templates: Sequence[Template],
                 parities = np.bitwise_xor.reduce(window, axis=0) & 1
                 _consume_block(accs[t], spans[t], s0 + idx, parities, mode)
             for key, child in node.children.items():
-                stack.append((key, child, cur))
+                stack.append((key, child, cur, depth + 1))
     return accs
 
 
@@ -499,12 +534,12 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
     check_scan(mode, stride, threads)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    events, anchor = record.events, record.burn_in
+    anchor = record.burn_in
     templates = list(templates)
     if not templates:
         return []
     spans = [t.span for t in templates]
-    o_hi = events.shape[0] - min(spans) + 1
+    o_hi = len(record) - min(spans) + 1
     if o_hi <= anchor:
         return [_estimate_from(t, _Accumulator(anchor)) for t in templates]
     # every stride of at least o_hi - anchor selects the burn-in start
@@ -517,7 +552,7 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
     ranges = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
     def run(o_range: Tuple[int, int]) -> List[_Accumulator]:
-        return _scan_range(events, templates, root, *o_range, anchor,
+        return _scan_range(record, templates, root, *o_range, anchor,
                            stride, mode, chunk_size)
 
     if len(ranges) == 1:

@@ -2,6 +2,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,9 +22,10 @@ from csmg.config import (
     parse_config,
     read_config,
 )
-from csmg.recordio import ClickRecord, open_record, write_record
+from csmg.recordio import (HEADER_SIZE, ClickRecord, open_record,
+                           record_writer, write_record)
 from csmg.reports import read_estimates_csv, write_estimates_csv
-from csmg.stream import ExperimentConfig
+from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import (CorrelatorEstimate, make_template, scan,
                             slot_counts, verify_template_stream)
 
@@ -908,3 +913,116 @@ def test_threads_capped_by_cpu_count(tmp_path, monkeypatch, cpus,
     assert run(["scan", str(rec_path), "--l-values", "2", "--threads",
                 str(requested), "--out", str(tmp_path / "e.csv")]) == 0
     assert seen == [expected, 1]
+
+
+# ---------------------------------------------------------------------------
+# Records stream through fixed buffers.
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--photons", _HUGE, f"n_photons must be <= {2 ** 64 - 1}"),
+    ("--photons", "-" + _HUGE, "n_photons must be >= 1"),
+    ("--seed", "-" + _HUGE, "seed must be >= 0"),
+    ("--burn-in", _HUGE, "burn_in must lie in [0, "),
+])
+def test_simulate_rejects_integers_past_the_double_range(tmp_path, capsys,
+                                                          flag, value,
+                                                          message):
+    # math.isfinite on such an int raised OverflowError, a traceback
+    out = tmp_path / "r.csmg"
+    argv = ["simulate", "--photons", "1000", flag, value, "--out", str(out)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_simulate_takes_a_seed_past_the_double_range(tmp_path):
+    # any non-negative integer seeds the generator
+    out = tmp_path / "r.csmg"
+    assert run(["simulate", "--photons", "1000", "--seed", _HUGE,
+                "--out", str(out)]) == 0
+    cfg = ExperimentConfig(n_photons=1000, seed=int(_HUGE))
+    assert np.array_equal(open_record(out).events, simulate(cfg).events)
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier record"])
+def test_failed_simulate_leaves_no_partial_record(tmp_path, monkeypatch,
+                                                  capsys, existing):
+    import csmg.stream as stream
+
+    out = tmp_path / "r.csmg"
+    if existing is not None:
+        out.write_bytes(existing)
+    calls = []
+    scan_chain = stream._scan_chain
+
+    def fail_third_chunk(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ValueError("chunk failed")
+        return scan_chain(*args)
+
+    monkeypatch.setattr(stream, "_scan_chain", fail_third_chunk)
+    assert run(["simulate", "--photons", str(5 * stream._CHUNK),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: chunk failed\n"
+    assert len(calls) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ([] if existing is None else ["r.csmg"])
+    if existing is not None:
+        assert out.read_bytes() == existing
+
+
+def test_simulate_writes_in_memory_bounded_by_a_chunk(tmp_path):
+    n = 1 << 24  # a 16 MiB record
+    out = tmp_path / "big.csmg"
+    args = ["simulate", "--photons", str(n), "--seed", "4", "--pd", "0.5",
+            "--psigma", "0.002", "--pzz", "0.01", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert out.stat().st_size == HEADER_SIZE + n
+
+
+# VmHWM is the peak RSS of this process image alone: a child's ru_maxrss
+# also counts the RSS of the process it was forked from, here pytest's
+_PEAK_RSS = ("import sys; from csmg.cli import run; "
+             "assert run(sys.argv[1:]) == 0; "
+             "print(open('/proc/self/status').read()"
+             ".split('VmHWM:')[1].split()[0])")
+
+
+def _scan_peak_rss_kib(record, out):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, NUMPY_MADVISE_HUGEPAGE="0",
+               PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "scan", str(record),
+         "--l-values", "2,5,8", "--threads", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, check=True)
+    return int(proc.stdout.split()[-1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/status")
+def test_scan_peak_rss_does_not_grow_with_the_record(tmp_path):
+    rng = np.random.default_rng(8)
+    piece = rng.choice(np.array([0x00, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07],
+                                dtype=np.uint8), size=1 << 20)
+    big, tiny = tmp_path / "big.csmg", tmp_path / "tiny.csmg"
+    with record_writer(big, 64 << 20, 100) as writer:
+        for _ in range(64):  # 64 MiB
+            writer.write(piece)
+    write_record(tiny, ClickRecord(events=piece[:1000], burn_in=100))
+    grown = (_scan_peak_rss_kib(big, tmp_path / "big.csv")
+             - _scan_peak_rss_kib(tiny, tmp_path / "tiny.csv"))
+    assert grown < 16 << 10, f"peak RSS grew by {grown} KiB"

@@ -1,5 +1,7 @@
 """Binary click-record format: round trips and corruption handling."""
 import hashlib
+import os
+import pickle
 import struct
 import tracemalloc
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import csmg.recordio as recordio
 from csmg.recordio import (
     EVENT_LOST,
     HEADER_SIZE,
@@ -19,6 +22,8 @@ from csmg.recordio import (
     event_basis,
     event_outcome,
     open_record,
+    read_events,
+    record_writer,
     validate_events,
     write_record,
 )
@@ -304,3 +309,89 @@ def test_record_takes_numpy_integer_burn_in(tmp_path):
     path = tmp_path / "np.csmg"
     write_record(path, rec)
     assert open_record(path).burn_in == 1
+
+
+def test_failed_write_keeps_the_existing_file(tmp_path):
+    path = tmp_path / "r.csmg"
+    path.write_bytes(b"an earlier record")
+    events = np.full(3 * _PIECE, 0x06, dtype=np.uint8)
+    events[2 * _PIECE + 5] = 0x01
+    with pytest.raises(RecordFormatError) as err:
+        write_record(path, ClickRecord(events=events, burn_in=0))
+    assert err.value.offset == HEADER_SIZE + 2 * _PIECE + 5
+    assert path.read_bytes() == b"an earlier record"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csmg"]
+
+
+def test_record_writer_takes_pieces_and_checks_the_count(tmp_path):
+    events = np.array(VALID_BYTES * 3, dtype=np.uint8)
+    path = tmp_path / "r.csmg"
+    with record_writer(path, len(events), 4) as writer:
+        for piece in np.array_split(events, 5):
+            writer.write(piece)
+    assert writer.lost == 3
+    back = open_record(path)
+    assert (back.burn_in, bytes(back.events)) == (4, events.tobytes())
+    for pieces in ([events[:-1]], [events, events[:1]]):
+        with pytest.raises(ValueError, match="record holds 21 photons"):
+            with record_writer(tmp_path / "short.csmg", 21, 0) as writer:
+                for piece in pieces:
+                    writer.write(piece)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csmg"]
+
+
+def test_record_writer_syncs_the_whole_file_before_the_rename(tmp_path,
+                                                             monkeypatch):
+    # the rename may reach the disk only after the bytes it publishes
+    events = np.array(VALID_BYTES * 3, dtype=np.uint8)
+    path = tmp_path / "r.csmg"
+    path.write_bytes(b"an earlier record")
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_size))
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        calls.append(("replace", os.path.getsize(src)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    write_record(path, ClickRecord(events=events, burn_in=0))
+    size = HEADER_SIZE + len(events)
+    assert calls == [("fsync", size), ("replace", size)]
+    assert path.stat().st_size == size
+
+
+def test_open_record_validates_through_the_file(tmp_path, monkeypatch):
+    n = 2 * _PIECE + 100
+    path = tmp_path / "r.csmg"
+    write_record(path, ClickRecord(events=np.full(n, 0x06, np.uint8)))
+    reads = []
+    preadv = os.preadv
+
+    def spy(fd, buffers, offset):
+        reads.append((offset, sum(len(b) for b in buffers)))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", spy)
+    record = open_record(path)
+    piece = recordio._VALIDATE_CHUNK
+    assert reads == [(HEADER_SIZE + start, min(piece, n - start))
+                     for start in range(0, n, piece)]
+    assert len(record) == n
+
+
+def test_a_pickled_opened_record_reads_its_own_bytes(tmp_path):
+    events = np.array(VALID_BYTES * 50, dtype=np.uint8)
+    path = tmp_path / "r.csmg"
+    write_record(path, ClickRecord(events=events, burn_in=2))
+    back = pickle.loads(pickle.dumps(open_record(path)))
+    out = np.empty(100, dtype=np.uint8)
+    read_events(back, 150, out)
+    assert (back.burn_in, bytes(out)) == (2, events[150:250].tobytes())
+    path.write_bytes(b"")  # the copy does not read the file
+    read_events(back, 0, out)
+    assert bytes(out) == events[:100].tobytes()

@@ -1,4 +1,6 @@
 """Property tests for the table path: generated configs, codes and chunkings."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,3 +185,36 @@ def test_quotient_test_equals_threshold_test_at_float_neighbours(p_d, q):
     assert np.array_equal(fin == 3, lost)
     q_xy = cfg.q_x + cfg.q_y
     assert fin.tolist() == [_fin_choice(x, p_d, cfg.q_x, q_xy) for x in u.tolist()]
+
+
+@st.composite
+def _streamed_runs(draw):
+    chunk = draw(st.sampled_from([1, 3, 4099, 1 << 17, None]))
+    sizes = [st.integers(1, 3000)]
+    if chunk is None or chunk > 3:  # a chunk of 1 or 3 photons costs a loop
+        sizes += [st.integers((1 << 17) - 3, (1 << 17) + 3),  # per photon
+                  st.just(3 * (1 << 17) + 7)]
+    n = draw(st.one_of(*sizes))
+    cfg = ExperimentConfig(n_photons=n, seed=draw(st.integers(0, 2 ** 32)),
+                           burn_in=0, p_d=draw(st.sampled_from([1.0, 0.5])),
+                           p_sigma=0.01, p_zz=0.02)
+    return cfg, n if chunk is None else chunk
+
+
+@settings(max_examples=40, deadline=None)
+@given(_streamed_runs())
+def test_streamed_record_equals_the_simulated_record(case):
+    cfg, chunk = case
+    streamed = hashlib.sha256()
+    sizes = []
+
+    def sink(piece):
+        streamed.update(piece)
+        sizes.append(piece.shape[0])
+
+    assert simulate(cfg, _chunk=chunk, sink=sink) is None
+    assert sum(sizes) == cfg.n_photons
+    # a piece is at most one chunk, plus the last photon at the end
+    assert max(sizes) <= min(chunk, cfg.n_photons) + 1
+    whole = simulate(cfg).events
+    assert streamed.hexdigest() == hashlib.sha256(whole).hexdigest()

@@ -1,5 +1,8 @@
 """Template construction, verification, and the window scanner."""
 import dataclasses
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import csmg.templates as templates_module
 from csmg.config import RunConfig
 from csmg.pauli import PauliString
-from csmg.recordio import EVENT_LOST, ClickRecord
+from csmg.recordio import (EVENT_LOST, HEADER_SIZE, ClickRecord, open_record,
+                           write_record)
 from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import (
     FAMILIES,
@@ -462,6 +466,33 @@ def test_scan_walks_a_deep_trie_without_recursion():
     assert [e.match_count for e in got] == [3, 3]
 
 
+def test_scan_buffers_do_not_grow_with_template_length():
+    # Gamma1(30002) has 20004 required slots; a buffer row per trie depth
+    # over a default-width block would be about 10 GiB.  On lossless
+    # random bytes masks turn sparse within a few depths, so the scan's
+    # buffers stay a few block widths.
+    template = make_template("Gamma1", 30002)
+    assert len(template.required) == 20004
+    rng = np.random.default_rng(35)
+    n = templates_module._DEFAULT_CHUNK
+    events = (rng.integers(1, 4, size=n, dtype=np.uint8) << 1) \
+        | rng.integers(0, 2, size=n, dtype=np.uint8)
+    planted = (1000, 200_000, n - template.span)
+    for o in planted:
+        events[o:o + template.span] = _events_near(rng, template.slots,
+                                                   template.span, 0.0)
+    tracemalloc.start()
+    try:
+        got = scan(ClickRecord(events), [template])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert got[0].match_count == len(planted)
+    assert _tallies(got) == _tallies(scan(ClickRecord(events), [template],
+                                          chunk_size=4099))
+
+
 def test_scan_window_must_fit_in_record():
     # trailing free slots may not reach past the record's last photon,
     # even while a shorter template keeps the scan going; the long lost
@@ -577,6 +608,75 @@ def test_scan_matches_reference_per_template(case):
 @given(_scan_calls(_patterned_templates()))
 def test_scan_matches_reference_on_arbitrary_patterns(case):
     _check_against_reference(case)
+
+
+# ---------------------------------------------------------------------------
+# Scanning an opened record file.
+
+
+def _tallies(estimates):
+    return [(e.match_count, e.signed_sum, e.overlap_fraction)
+            for e in estimates]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scan_calls(_grid_templates()))
+def test_scan_of_an_opened_file_equals_scan_of_its_bytes(case):
+    events, templates, kwargs = case
+    kwargs = dict(kwargs)
+    burn_in = kwargs.pop("burn_in")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.csmg")
+        write_record(path, ClickRecord(events, burn_in=burn_in))
+        got = scan(open_record(path), templates, **kwargs)
+    want = scan(ClickRecord(events, burn_in=burn_in), templates, **kwargs)
+    assert _tallies(got) == _tallies(want)
+
+
+def test_scan_reads_an_opened_record_through_its_file(tmp_path,
+                                                     monkeypatch):
+    events = _events_near(np.random.default_rng(3),
+                          make_template("Gamma1", 5).slots, 5000, 0.1)
+    path = tmp_path / "r.csmg"
+    write_record(path, ClickRecord(events, burn_in=7))
+    record = open_record(path)
+    reads = []
+    preadv = os.preadv
+
+    def spy(fd, buffers, offset):
+        reads.append((offset, sum(len(b) for b in buffers)))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", spy)
+    template = make_template("Gamma1", 5)
+    got = scan(record, [template], chunk_size=1001)
+    # blocks of 1001 window starts from the burn-in on, each with its
+    # halo of span - 1 photons, cut at the end of the record
+    starts = range(7, 5000 - template.span + 1, 1001)
+    assert reads == [(HEADER_SIZE + s,
+                      min(s + 1001 + template.span - 1, 5000) - s)
+                     for s in starts]
+    assert _tallies(got) == _tallies(scan(ClickRecord(events, burn_in=7),
+                                          [template], chunk_size=1001))
+
+
+def test_scan_of_a_record_on_a_memmap_slice_equals_its_bytes(tmp_path):
+    # a slice of a memmap keeps its parent's offset, so only open_record
+    # can say which file bytes a record's events are
+    events = _events_near(np.random.default_rng(4),
+                          make_template("Gamma2", 8).slots, 6000, 0.1)
+    path = tmp_path / "r.csmg"
+    write_record(path, ClickRecord(events, burn_in=0))
+    mapped = np.memmap(path, dtype=np.uint8, mode="r", offset=HEADER_SIZE,
+                       shape=(6000,))
+    templates = [make_template(f, l) for f in FAMILIES for l in (2, 5, 8)]
+    for lo in (0, 10, 1237):
+        for mode in ("all", "greedy"):
+            got = scan(ClickRecord(mapped[lo:], burn_in=5), templates,
+                       mode=mode, chunk_size=997)
+            want = scan(ClickRecord(events[lo:].copy(), burn_in=5),
+                        templates, mode=mode, chunk_size=997)
+            assert _tallies(got) == _tallies(want)
 
 
 # ---------------------------------------------------------------------------
