@@ -17,8 +17,9 @@ from .analysis import (ErrorModelFit, LEBoundRow, LEBoundTable,
                        xi_from_rates)
 from .config import ConfigError, RunConfig, parse_config, read_config
 from .pauli import FrameError, PauliLetter, PauliString, StabilizerFrame
-from .recordio import (ClickRecord, RecordFormatError, encode_event,
-                       event_basis, event_outcome, open_record, write_record)
+from .recordio import (ClickRecord, RecordFile, RecordFormatError,
+                       encode_event, event_basis, event_outcome, open_record,
+                       write_record)
 from .stream import ExperimentConfig, simulate
 from .templates import (FAMILIES, CorrelatorEstimate, Template,
                         TemplateVerificationError, certifiable_lengths,
@@ -31,8 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ClickRecord", "ConfigError", "CorrelatorEstimate",
     "ErrorModelFit", "ExperimentConfig", "FrameError", "LEBoundRow",
-    "LEBoundTable", "PauliLetter", "PauliString", "RecordFormatError",
-    "RunConfig", "StabilizerFrame", "Template", "FAMILIES",
+    "LEBoundTable", "PauliLetter", "PauliString", "RecordFile",
+    "RecordFormatError", "RunConfig", "StabilizerFrame", "Template",
+    "FAMILIES",
     "TemplateVerificationError", "TwoQubitMoments", "XiEstimate",
     "certifiable_lengths", "concurrence",
     "direct_bounds", "encode_event", "eof_from_concurrence",

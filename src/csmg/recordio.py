@@ -15,9 +15,9 @@ Z- = 0x07.  Every other byte value is invalid and is rejected with the
 absolute file offset of the first offender.
 
 Records stream through fixed buffers in both directions: ``record_writer``
-takes the payload piece by piece, and a record made by ``open_record``
-keeps its file open so that ``read_events`` copies any run of its bytes
-with ``os.preadv``, without making the memory map resident.
+takes the payload piece by piece, and ``open_record`` returns a
+``RecordFile``, which reads any run of its bytes through the open file
+with ``os.preadv`` and maps nothing.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ import os
 import struct
 import weakref
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
@@ -97,16 +97,6 @@ def event_outcome(byte: int) -> int:
     return 1 - 2 * (byte & 1)
 
 
-class _OpenFile:
-    """A read-only file descriptor, closed when its last reference goes."""
-
-    __slots__ = ("fd", "__weakref__")
-
-    def __init__(self, path: Union[str, os.PathLike]) -> None:
-        self.fd = os.open(path, os.O_RDONLY)
-        weakref.finalize(self, os.close, self.fd)
-
-
 @dataclass(frozen=True)
 class ClickRecord:
     """A photon-by-photon detection record; its fields cannot be reassigned.
@@ -114,25 +104,25 @@ class ClickRecord:
     ``events`` is a uint8 array using the byte encoding above; the first
     ``burn_in`` photons were produced while the source settles and are
     always skipped during scanning.  ``burn_in`` is an integer in
-    [0, MAX_BURN_IN], so every record fits the file header.  ``_file`` is
-    set by ``open_record`` alone: the open file whose payload ``events``
-    maps.
+    [0, MAX_BURN_IN], so every record fits the file header.  Values that
+    a uint8 cast would change are rejected, not wrapped into bytes.
     """
 
     events: np.ndarray
     burn_in: int = 0
-    _file: Optional[_OpenFile] = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "events",
-                           np.ascontiguousarray(self.events, dtype=np.uint8))
+        events = self.events
+        if getattr(events, "dtype", None) != np.uint8:
+            given = np.asarray(events)
+            with np.errstate(invalid="ignore"):
+                events = given.astype(np.uint8)
+            if not np.array_equal(events, given):
+                raise ValueError("events must be byte values that a uint8 "
+                                 f"cast keeps, got {given.dtype} values "
+                                 "that it changes")
+        object.__setattr__(self, "events", np.ascontiguousarray(events))
         object.__setattr__(self, "burn_in", check_burn_in(self.burn_in))
-
-    def __getstate__(self) -> dict:
-        # a descriptor number means nothing in another process: a pickled
-        # record carries its bytes and reads them from ``events``
-        return {**self.__dict__, "_file": None}
 
     def __len__(self) -> int:
         return int(self.events.shape[0])
@@ -145,9 +135,17 @@ class ClickRecord:
         return (n - np.count_nonzero(self.events)) / n
 
     def basis_counts(self) -> dict:
-        b = self.events >> 1
-        return {name: int(np.count_nonzero(b == code))
-                for code, name in BASIS_NAMES.items()}
+        # counted per piece, so no temporary is record-sized
+        counts = dict.fromkeys(BASIS_NAMES.values(), 0)
+        for start in range(0, len(self), _VALIDATE_CHUNK):
+            bases = self.events[start:start + _VALIDATE_CHUNK] >> 1
+            for code, name in BASIS_NAMES.items():
+                counts[name] += int(np.count_nonzero(bases == code))
+        return counts
+
+    def read(self, start: int, out: np.ndarray) -> None:
+        """Copy ``events[start:start + len(out)]`` into ``out``."""
+        np.copyto(out, self.events[start:start + out.shape[0]])
 
 
 def validate_events(events: np.ndarray, base_offset: int = HEADER_SIZE) -> None:
@@ -235,52 +233,62 @@ def _read_header(raw: bytes) -> Tuple[int, int]:
     return count, burn_in
 
 
-def _pread(fd: int, out: np.ndarray, offset: int) -> None:
-    """Fill ``out`` with the file's bytes from ``offset`` on."""
-    done = 0
-    while done < out.shape[0]:
-        got = os.preadv(fd, [out[done:]], offset + done)
-        if got == 0:
-            raise RecordFormatError("record file ends early", offset + done)
-        done += got
+class RecordFile:
+    """A record read through its open file, which nothing maps.
+
+    Made from a path, it checks the header and the file size;
+    ``open_record`` also validates the payload.  A descriptor means
+    nothing in another process, so it pickles as its ``load()`` copy.
+    """
+
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
+        self._fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self._fd)
+        size = os.fstat(self._fd).st_size
+        count, self._burn_in = _read_header(os.pread(self._fd, HEADER_SIZE, 0))
+        if size - HEADER_SIZE != count:
+            raise RecordFormatError(
+                f"file holds {size - HEADER_SIZE} photons, header promised {count}",
+                HEADER_SIZE + min(size - HEADER_SIZE, count))
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def burn_in(self) -> int:
+        """Read-only, as a ``ClickRecord``'s: the scan starts here."""
+        return self._burn_in
+
+    def __reduce__(self):
+        return ClickRecord, (self.load().events, self.burn_in)
+
+    def read(self, start: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the payload bytes from ``start`` on."""
+        offset, done = HEADER_SIZE + start, 0
+        while done < out.shape[0]:
+            got = os.preadv(self._fd, [out[done:]], offset + done)
+            if got == 0:
+                raise RecordFormatError("record file ends early", offset + done)
+            done += got
+
+    def load(self) -> ClickRecord:
+        """The whole payload, read into memory."""
+        events = np.empty(self._count, dtype=np.uint8)
+        self.read(0, events)
+        return ClickRecord(events, self.burn_in)
 
 
-def open_record(path: Union[str, os.PathLike]) -> ClickRecord:
+def open_record(path: Union[str, os.PathLike]) -> RecordFile:
     """Open a record read-only; every payload byte is validated.
 
-    Validation reads the payload through the file, 256 KiB at a time into
-    one buffer, so it makes no page of the memory map resident.  The
-    record keeps the file open for ``read_events``; ``events`` maps the
-    payload and is read only by whoever indexes it.
+    Validation reads the payload through ``RecordFile.read``, 256 KiB at
+    a time into one buffer.
     """
-    file = _OpenFile(path)
-    size = os.fstat(file.fd).st_size
-    count, burn_in = _read_header(os.pread(file.fd, HEADER_SIZE, 0))
-    if size - HEADER_SIZE != count:
-        raise RecordFormatError(
-            f"file holds {size - HEADER_SIZE} photons, header promised {count}",
-            HEADER_SIZE + min(size - HEADER_SIZE, count))
-    piece = np.empty(min(count, _VALIDATE_CHUNK), dtype=np.uint8)
-    for start in range(0, count, _VALIDATE_CHUNK):
-        part = piece[:min(_VALIDATE_CHUNK, count - start)]
-        _pread(file.fd, part, HEADER_SIZE + start)
+    record = RecordFile(path)
+    piece = np.empty(min(len(record), _VALIDATE_CHUNK), dtype=np.uint8)
+    for start in range(0, len(record), _VALIDATE_CHUNK):
+        part = piece[:min(_VALIDATE_CHUNK, len(record) - start)]
+        record.read(start, part)
         validate_events(part, HEADER_SIZE + start)
-    with open(file.fd, "rb", closefd=False) as fh:
-        events = np.memmap(fh, dtype=np.uint8, mode="r", offset=HEADER_SIZE,
-                           shape=(count,))
-    record = ClickRecord(events=events, burn_in=burn_in)
-    object.__setattr__(record, "_file", file)
     return record
-
-
-def read_events(record: ClickRecord, start: int, out: np.ndarray) -> None:
-    """Copy ``record.events[start:start + len(out)]`` into ``out``.
-
-    A record made by ``open_record`` is read from its open file, so the
-    copy leaves its memory map untouched; any other is copied from
-    ``events``.
-    """
-    if record._file is None:
-        np.copyto(out, record.events[start:start + out.shape[0]])
-    else:
-        _pread(record._file.fd, out, HEADER_SIZE + start)

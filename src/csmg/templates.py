@@ -24,7 +24,7 @@ import numpy as np
 
 from .pauli import PauliString
 from .recordio import (BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z, ClickRecord,
-                       read_events)
+                       RecordFile)
 
 # a slot holds the basis code a record byte carries in ``byte >> 1``, so
 # the scan compares record bytes with slots directly
@@ -389,14 +389,14 @@ def _trie(templates: Sequence[Template]) -> _TrieNode:
     return root
 
 
-def _scan_range(record: ClickRecord, templates: Sequence[Template],
-                root: _TrieNode, o_lo: int, o_hi: int, anchor: int,
-                stride: int, mode: str,
+def _scan_range(record: ClickRecord | RecordFile,
+                templates: Sequence[Template], root: _TrieNode, o_lo: int,
+                o_hi: int, anchor: int, stride: int, mode: str,
                 chunk_size: int) -> List[_Accumulator]:
     """Walk the trie over window starts [o_lo, o_hi), block by block.
 
     Each block's bytes, with the halo of span - 1 that its last windows
-    reach into, are copied by ``read_events`` into a buffer made once per
+    reach into, are copied by ``record.read`` into a buffer made once per
     range, and its basis codes, per-basis masks and dense masks go to
     buffers made with it, so a scan of any record holds a few blocks'
     worth of memory and makes no block-sized array per block.  A dense
@@ -448,7 +448,7 @@ def _scan_range(record: ClickRecord, templates: Sequence[Template],
         width = s1 - s0
         block = block_buf[:width + halo]
         filled = min(s1 + halo, n) - s0
-        read_events(record, s0, block[:filled])
+        record.read(s0, block[:filled])
         # the last blocks are padded so every slot view has full width;
         # starts whose window passes the end are cut at ``limit``
         block[filled:] = 0
@@ -503,7 +503,7 @@ def _scan_range(record: ClickRecord, templates: Sequence[Template],
     return accs
 
 
-def scan(record: ClickRecord, templates: Sequence[Template], *,
+def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
          mode: str = "all", stride: int = 1,
          chunk_size: int = _DEFAULT_CHUNK,
          threads: int = 1) -> List[CorrelatorEstimate]:
@@ -517,8 +517,10 @@ def scan(record: ClickRecord, templates: Sequence[Template], *,
     least as long as the run of window starts selects burn_in alone.
 
     All templates are matched in one pass over the record, ``chunk_size``
-    window starts at a time.  Templates that begin with the same required
-    slots share the work for them: the scan walks a trie of the
+    window starts at a time, each block copied out by ``record.read``:
+    from memory for a ``ClickRecord``, through the file for a
+    ``RecordFile``.  Templates that begin with the same required slots
+    share the work for them: the scan walks a trie of the
     templates' required (position, basis) slots, so the l <= 50 grid
     takes at most 119 trie edges per block where one template at a time
     would take 680 slot tests.  A subtree ends where no window start of

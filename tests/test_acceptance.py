@@ -313,7 +313,7 @@ def test_criterion_8_determinism_and_stitching(tmp_path):
     write_record(path_a, rec_a)
     write_record(path_b, rec_b)
     assert path_a.read_bytes() == path_b.read_bytes()
-    assert np.array_equal(open_record(path_a).events, rec_a.events)
+    assert np.array_equal(open_record(path_a).load().events, rec_a.events)
 
     frame_cfg = ExperimentConfig(n_photons=20000, seed=77, p_d=0.5,
                                  q_x=0.2, q_y=0.6, q_z=0.2, p_sigma=0.002,

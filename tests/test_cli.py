@@ -496,7 +496,7 @@ def test_simulate_dark_detector(tmp_path):
     assert run(["simulate", "--photons", "512", "--pd", "0", "--out",
                 str(out)]) == 0
     rec = open_record(out)
-    assert np.all(rec.events == 0)
+    assert np.all(rec.load().events == 0)
 
 
 def test_scan_hand_record_to_csv(tmp_path, capsys):
@@ -945,7 +945,7 @@ def test_simulate_takes_a_seed_past_the_double_range(tmp_path):
     assert run(["simulate", "--photons", "1000", "--seed", _HUGE,
                 "--out", str(out)]) == 0
     cfg = ExperimentConfig(n_photons=1000, seed=int(_HUGE))
-    assert np.array_equal(open_record(out).events, simulate(cfg).events)
+    assert np.array_equal(open_record(out).load().events, simulate(cfg).events)
 
 
 @pytest.mark.parametrize("existing", [None, b"an earlier record"])

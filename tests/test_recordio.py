@@ -22,14 +22,15 @@ from csmg.recordio import (
     event_basis,
     event_outcome,
     open_record,
-    read_events,
     record_writer,
     validate_events,
     write_record,
 )
 
 VALID_BYTES = [0x00, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07]
-_PIECE = 1 << 20  # validation works through the payload 1 MiB at a time
+# validation reads 256 KiB pieces; 1 MiB is a multiple of that, so offsets
+# built from _PIECE fall on piece seams
+_PIECE = 1 << 20
 
 
 def test_event_codec_covers_all_valid_bytes():
@@ -96,7 +97,7 @@ def test_validate_accepts_every_valid_byte_across_pieces(tmp_path):
     validate_events(events)
     path = tmp_path / "valid.csmg"
     write_record(path, ClickRecord(events=events, burn_in=0))
-    assert np.array_equal(open_record(path).events, events)
+    assert np.array_equal(open_record(path).load().events, events)
 
 
 def test_record_roundtrip_through_buffer(tmp_path):
@@ -107,7 +108,7 @@ def test_record_roundtrip_through_buffer(tmp_path):
     write_record(path, rec)
     back = open_record(path)
     assert back.burn_in == 17
-    assert np.array_equal(back.events, events)
+    assert np.array_equal(back.load().events, events)
 
 
 def test_open_record_memmap_matches(tmp_path):
@@ -116,7 +117,7 @@ def test_open_record_memmap_matches(tmp_path):
     write_record(path, ClickRecord(events=events, burn_in=3))
     mapped = open_record(path)
     assert mapped.burn_in == 3
-    assert np.array_equal(np.asarray(mapped.events), events)
+    assert np.array_equal(np.asarray(mapped.load().events), events)
 
 
 def test_header_magic_and_version_enforced(tmp_path):
@@ -167,7 +168,7 @@ def _record_with_bad_byte(path, n, where):
 
 
 def test_open_record_reports_offset_past_first_chunk(tmp_path):
-    # open_record validates the mapped payload piece by piece
+    # open_record validates the payload piece by piece
     path = tmp_path / "stream.csmg"
     where = (1 << 20) + 7
     _record_with_bad_byte(path, (1 << 20) + 100, where)
@@ -206,6 +207,45 @@ def test_lost_fraction_makes_no_record_sized_temporary():
         tracemalloc.stop()
     assert peak < n // 2
     assert lost == np.count_nonzero(events == EVENT_LOST) / n
+
+
+def test_basis_counts_makes_no_record_sized_temporary():
+    n = 1 << 24  # 16 MiB
+    events = np.full(n, 0x06, dtype=np.uint8)
+    events[::3] = EVENT_LOST
+    events[1::5] = 0x03
+    events[2::7] = 0x05
+    record = ClickRecord(events=events, burn_in=0)
+    tracemalloc.start()
+    try:
+        counts = record.basis_counts()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 2
+    assert counts == {name: int(np.count_nonzero(events >> 1 == code))
+                      for code, name in ((1, "X"), (2, "Y"), (3, "Z"))}
+
+
+@pytest.mark.parametrize("events", [
+    np.array([0x106, 0x104, 0x104, 0x106]),
+    [6.9, 4.2, 4.0, 6.0],
+    np.array([-250, 4, 4, 6]),
+    np.array([6.0, np.nan]),
+])
+def test_record_rejects_events_that_a_uint8_cast_changes(events):
+    # a wrapping or truncating cast turns the first three into the bytes
+    # 6 4 4 6, a Gamma1(2) match, and a NaN into an arbitrary byte
+    with pytest.raises(ValueError, match="uint8 cast"):
+        ClickRecord(events=events)
+
+
+def test_record_takes_events_that_a_uint8_cast_keeps():
+    for events in ([6, 4, 4, 6], np.array([6.0, 4.0, 4.0, 6.0]),
+                   np.array([6, 4, 4, 6], dtype=np.int64)):
+        rec = ClickRecord(events=events)
+        assert rec.events.dtype == np.uint8
+        assert bytes(rec.events) == bytes([6, 4, 4, 6])
 
 
 _LENGTHS = st.one_of(st.integers(0, 300),
@@ -331,7 +371,7 @@ def test_record_writer_takes_pieces_and_checks_the_count(tmp_path):
             writer.write(piece)
     assert writer.lost == 3
     back = open_record(path)
-    assert (back.burn_in, bytes(back.events)) == (4, events.tobytes())
+    assert (back.burn_in, bytes(back.load().events)) == (4, events.tobytes())
     for pieces in ([events[:-1]], [events, events[:1]]):
         with pytest.raises(ValueError, match="record holds 21 photons"):
             with record_writer(tmp_path / "short.csmg", 21, 0) as writer:
@@ -390,8 +430,40 @@ def test_a_pickled_opened_record_reads_its_own_bytes(tmp_path):
     write_record(path, ClickRecord(events=events, burn_in=2))
     back = pickle.loads(pickle.dumps(open_record(path)))
     out = np.empty(100, dtype=np.uint8)
-    read_events(back, 150, out)
+    back.read(150, out)
     assert (back.burn_in, bytes(out)) == (2, events[150:250].tobytes())
     path.write_bytes(b"")  # the copy does not read the file
-    read_events(back, 0, out)
+    back.read(0, out)
     assert bytes(out) == events[:100].tobytes()
+
+
+@_PROPERTY_SETTINGS
+@given(n=st.one_of(st.integers(0, 300), st.integers(_PIECE - 4, _PIECE + 4)),
+       burn_in=st.integers(0, 50), data=st.data())
+def test_an_opened_record_reads_as_its_bytes_in_memory(tmp_path, n, burn_in,
+                                                       data):
+    events = np.random.default_rng(n).choice(
+        np.array(VALID_BYTES, dtype=np.uint8), size=n)
+    path = tmp_path / "r.csmg"
+    write_record(path, ClickRecord(events, burn_in=burn_in))
+    opened, held = open_record(path), ClickRecord(events, burn_in=burn_in)
+    assert (len(opened), opened.burn_in) == (n, burn_in)
+    with pytest.raises(AttributeError):
+        opened.burn_in = -1  # read-only, as a ClickRecord's
+    for _ in range(5):
+        start = data.draw(st.one_of(st.integers(0, n),
+                                    st.integers(max(0, n - 3), n)))
+        # any run from ``start`` on, or the one that ends on the last byte
+        length = data.draw(st.one_of(st.integers(0, n - start),
+                                     st.just(n - start)))
+        got, want = (np.empty(length, dtype=np.uint8) for _ in range(2))
+        opened.read(start, got)
+        held.read(start, want)
+        assert bytes(got) == bytes(want) == \
+            events[start:start + length].tobytes()
+    loaded = opened.load()
+    assert type(loaded) is ClickRecord
+    assert (bytes(loaded.events), loaded.burn_in) == (events.tobytes(), burn_in)
+    copy = pickle.loads(pickle.dumps(opened))
+    assert type(copy) is ClickRecord
+    assert (bytes(copy.events), copy.burn_in) == (events.tobytes(), burn_in)

@@ -660,6 +660,20 @@ def test_scan_reads_an_opened_record_through_its_file(tmp_path,
                                           [template], chunk_size=1001))
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="reads the process's memory map (Linux only)")
+def test_opening_and_scanning_a_record_maps_none_of_its_file(tmp_path):
+    path = tmp_path / "r.csmg"
+    events = np.tile(np.array([0x06, 0x04, 0x04, 0x06], np.uint8), 1250)
+    write_record(path, ClickRecord(events, burn_in=0))
+    record = open_record(path)
+    est = scan(record, [make_template("Gamma1", 2)], chunk_size=1001)
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        maps = fh.read()
+    assert os.path.realpath(path) not in maps
+    assert est[0].match_count == 1250
+
+
 def test_scan_of_a_record_on_a_memmap_slice_equals_its_bytes(tmp_path):
     # a slice of a memmap keeps its parent's offset, so only open_record
     # can say which file bytes a record's events are
