@@ -77,6 +77,14 @@ def check_burn_in(value) -> int:
     return burn_in
 
 
+def _check_run(start: int, length: int, count: int) -> None:
+    """Reject a read of ``length`` photons from ``start`` that does not lie
+    within a record of ``count`` photons."""
+    if not 0 <= start <= count - length:
+        raise ValueError(f"cannot read photons [{start}, {start + length}) "
+                         f"of a record of {count}")
+
+
 def encode_event(basis: int, outcome: int) -> int:
     """Pack a detection into one byte; basis is BASIS_X/Y/Z, outcome +1/-1."""
     if basis not in (BASIS_X, BASIS_Y, BASIS_Z):
@@ -144,7 +152,9 @@ class ClickRecord:
         return counts
 
     def read(self, start: int, out: np.ndarray) -> None:
-        """Copy ``events[start:start + len(out)]`` into ``out``."""
+        """Copy ``events[start:start + len(out)]`` into ``out``; the run
+        must lie within the record."""
+        _check_run(start, out.shape[0], len(self))
         np.copyto(out, self.events[start:start + out.shape[0]])
 
 
@@ -264,7 +274,9 @@ class RecordFile:
         return ClickRecord, (self.load().events, self.burn_in)
 
     def read(self, start: int, out: np.ndarray) -> None:
-        """Fill ``out`` with the payload bytes from ``start`` on."""
+        """Fill ``out`` with the payload bytes from ``start`` on; the run
+        must lie within the record."""
+        _check_run(start, out.shape[0], self._count)
         offset, done = HEADER_SIZE + start, 0
         while done < out.shape[0]:
             got = os.preadv(self._fd, [out[done:]], offset + done)

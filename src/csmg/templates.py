@@ -42,6 +42,20 @@ _SPARSE_RATIO = 64
 # or fewer, so masks turn sparse within a few depths: on the benchmarks'
 # records no dense AND runs deeper than depth 4.
 _MASK_ROWS = 4
+# A dense mask's survivors are estimated from every _PROBE_STEP-th start,
+# and an estimate that keeps a node dense by less than half as much again
+# is replaced by a full count.  Without that check, about one node per
+# greedy_lossless scan, 27% under the threshold, was kept dense and
+# touched one more mask row: about 0.7 MiB more peak RSS at two of three
+# seeds.  On a 2-core Xeon this scanned about 4% faster than a step of 16
+# with no check.
+_PROBE_STEP = 64
+# Matched starts held across blocks, summed over the templates, before
+# they are tallied: about 0.3 MiB of offsets and parities.  Over one
+# tally per block, the greedy_lossless benchmark's median peak RSS rose
+# by 1.0 MiB at 1 << 16 and by about 0.45 MiB at 1 << 15, at the same
+# scan speed.
+_PENDING_CAP = 1 << 15
 
 
 # A family's slots are head + period * k + tail with k = (l - 2) / 3, and
@@ -298,7 +312,8 @@ class _Accumulator:
 
 def _consume_block(acc: _Accumulator, span: int, offsets: np.ndarray,
                    parities: np.ndarray, mode: str) -> None:
-    """Tally one block's matched window starts, given in increasing order.
+    """Tally a batch of matched window starts, given in increasing order
+    and after every start of the batches before it.
 
     Greedy mode keeps the first start at or past ``acc.greedy_next``, then
     repeatedly the first start at or past the last kept one plus ``span``:
@@ -314,8 +329,9 @@ def _consume_block(acc: _Accumulator, span: int, offsets: np.ndarray,
     set holds the first 2**m steps of each orbit and ``jump`` is the map
     applied 2**m times, one round adds ``jump`` of the kept set and
     squares ``jump``.  A jump out of its run goes to a sentinel that maps
-    to itself.  ``acc.greedy_next`` carries the block's last kept start
-    plus ``span`` into the next block.
+    to itself.  ``acc.greedy_next`` carries the batch's last kept start
+    plus ``span`` into the next batch, and ``acc.last_o`` carries the
+    last start into the next batch's overlap count.
     """
     if offsets.shape[0] == 0:
         return
@@ -418,8 +434,22 @@ def _scan_range(record: ClickRecord | RecordFile,
     subtree: its descendants' starts are subsets of its own, so none of
     its ends is tallied and none of its children is walked.  On the
     rescan_l50 benchmark's record (p_d 0.5, the l <= 50 grid) that leaves
-    about 31 of the 119 edges walked per block, 4 of them dense.
+    about 31 of the 119 edges walked per block, 4 of them dense.  Whether
+    a dense mask turns sparse is decided from every _PROBE_STEP-th start;
+    a mask is counted in full only when that sample finds none, or keeps
+    the node just over the threshold.  The choice sets the speed and the
+    mask rows touched, never the starts.
+
     The outcome parity is gathered only at the matches a template reports.
+    Each template's matched starts and parities wait in a pending list
+    until the pending total over all templates reaches _PENDING_CAP, and
+    at the end of the range; then each template's pieces are tallied by
+    one ``_consume_block`` call.  ``_consume_block`` carries its greedy
+    and overlap state from one call to the next, so the tallies are those
+    of one call per block, at a fraction of the calls: a greedy scan of
+    the greedy_lossless benchmark's record, 6 templates over 58 blocks,
+    makes 138 calls where one per block and template made 348.  No call
+    is given an empty run.
     """
     n = len(record)
     spans = [t.span for t in templates]
@@ -443,6 +473,18 @@ def _scan_range(record: ClickRecord | RecordFile,
     # masks[d - 2] for trie depth d; a deeper dense AND appends its own,
     # kept to the end of the range
     masks = list(rows[5:].view(bool))
+    # per template, its matched starts and their parities in start order
+    pending: List[list] = [[] for _ in templates]
+    held = 0
+
+    def tally() -> None:
+        for t, pieces in enumerate(pending):
+            if pieces:
+                offsets, parities = (pieces[0] if len(pieces) == 1 else
+                                     map(np.concatenate, zip(*pieces)))
+                pieces.clear()  # freed before the tally's temporaries
+                _consume_block(accs[t], spans[t], offsets, parities, mode)
+
     for s0 in range(o_lo, o_hi, chunk_size):
         s1 = min(s0 + chunk_size, o_hi)
         width = s1 - s0
@@ -461,7 +503,7 @@ def _scan_range(record: ClickRecord | RecordFile,
             if key is not None:
                 pos, code = key
                 if cur is not None and cur.dtype != bool:
-                    cur = cur[bas[cur + pos] == code]
+                    cur = cur[bas[pos:][cur] == code]
                     if cur.shape[0] == 0:
                         continue
                 else:
@@ -475,9 +517,11 @@ def _scan_range(record: ClickRecord | RecordFile,
                             masks.append(np.empty(size, dtype=bool))
                         sel = np.bitwise_and(sel, cur,
                                              out=masks[depth - 2][:width])
-                    alive = np.count_nonzero(sel)
-                    if alive == 0:
+                    alive = np.count_nonzero(sel[::_PROBE_STEP]) * _PROBE_STEP
+                    if alive == 0 and not sel.any():
                         continue
+                    if width <= alive * _SPARSE_RATIO < 1.5 * width:
+                        alive = np.count_nonzero(sel)
                     if alive * _SPARSE_RATIO < width:
                         sel = np.flatnonzero(sel)
                     cur = sel
@@ -493,13 +537,20 @@ def _scan_range(record: ClickRecord | RecordFile,
                     idx = cur[:np.searchsorted(cur, limit)]
                 if stride > 1:
                     idx = idx[(idx + (s0 - anchor)) % stride == 0]
+                if idx.shape[0] == 0:
+                    continue
                 # the low bit of the XOR of the bytes is the XOR of their
                 # signs; gathered slot-major, the XOR runs along the matches
                 window = block[positions[t][:, None] + idx]
                 parities = np.bitwise_xor.reduce(window, axis=0) & 1
-                _consume_block(accs[t], spans[t], s0 + idx, parities, mode)
+                pending[t].append((s0 + idx, parities))
+                held += idx.shape[0]
+                if held >= _PENDING_CAP:
+                    tally()
+                    held = 0
             for key, child in node.children.items():
                 stack.append((key, child, cur, depth + 1))
+    tally()
     return accs
 
 
@@ -526,9 +577,13 @@ def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
     would take 680 slot tests.  A subtree ends where no window start of
     the block survives; on a 10^7-photon record at p_d 0.5 about 31 edges
     per block are walked.
+    A template's matches are tallied per batch, not per block: they wait
+    until the matches held over all templates reach _PENDING_CAP, or the
+    range ends, so fewer than _PENDING_CAP plus one block's width of
+    matches wait at once.
     ``threads > 1`` splits the window starts into that many contiguous
     ranges, scanned concurrently and joined in order.  Greedy mode runs
-    as one range, its kept matches computed per block by pointer doubling
+    as one range, its kept matches computed per batch by pointer doubling
     (see ``_consume_block``), so ``threads`` is ignored there.  Counts,
     signed sums and overlap fractions are bit-identical for any ``chunk_size``
     and ``threads``.

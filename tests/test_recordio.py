@@ -467,3 +467,26 @@ def test_an_opened_record_reads_as_its_bytes_in_memory(tmp_path, n, burn_in,
     copy = pickle.loads(pickle.dumps(opened))
     assert type(copy) is ClickRecord
     assert (bytes(copy.events), copy.burn_in) == (events.tobytes(), burn_in)
+
+
+def test_both_reads_reject_a_run_outside_the_record(tmp_path):
+    # before the check, ClickRecord.read(7, out) filled a 2-byte ``out``
+    # with [7 7] and RecordFile.read(-2, out) returned two header bytes
+    events = np.array([0x06, 0x04, 0x04, 0x06, 0x02, 0x03, 0x05, 0x07],
+                      dtype=np.uint8)
+    path = tmp_path / "r.csmg"
+    write_record(path, ClickRecord(events=events))
+    for record in (ClickRecord(events=events), open_record(path)):
+        for start, length in ((7, 2), (7, 3), (8, 1), (9, 0), (0, 9),
+                              (-2, 2), (-1, 0), (-8, 8)):
+            out = np.full(length, 0xEE, dtype=np.uint8)
+            with pytest.raises(ValueError) as err:
+                record.read(start, out)
+            assert str(err.value) == (f"cannot read photons [{start}, "
+                                      f"{start + length}) of a record of 8")
+            assert bytes(out) == b"\xee" * length
+        # a run may end exactly at the end, and may be empty there
+        for start, length in ((6, 2), (7, 1), (0, 8), (8, 0), (3, 5)):
+            out = np.empty(length, dtype=np.uint8)
+            record.read(start, out)
+            assert bytes(out) == events[start:start + length].tobytes()

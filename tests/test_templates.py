@@ -814,6 +814,49 @@ def test_dense_node_without_survivors_in_the_padded_last_block(chunk_size):
 
 
 # ---------------------------------------------------------------------------
+# Matches tallied per batch, not per block.
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(_scan_calls(_grid_templates()),
+                      _scan_calls(_patterned_templates()), _planted_calls()))
+def test_scan_matches_reference_when_batches_are_tiny(cap, case):
+    # a cap of 1 tallies each block's piece on its own, and a cap of 3
+    # closes batches mid-block, mid-range and in every thread's range
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(templates_module, "_PENDING_CAP", cap)
+        _check_against_reference(case)
+
+
+def test_scan_tallies_matches_per_batch_not_per_block(monkeypatch):
+    # 2*10^5 lossless photons make about 5500 matches of these templates,
+    # in nearly every block of 4096 starts, and all of them fit one batch
+    cfg = ExperimentConfig(n_photons=200_000, seed=6, p_d=1.0,
+                           p_sigma=0.002, p_zz=0.01)
+    record = simulate(cfg)
+    templates = [make_template(f, l) for f in FAMILIES for l in (2, 5, 8)]
+    calls = []
+
+    def spy(acc, span, offsets, parities, mode):
+        calls.append(offsets.shape[0])
+        _consume_block(acc, span, offsets, parities, mode)
+
+    monkeypatch.setattr(templates_module, "_consume_block", spy)
+    got = scan(record, templates, mode="greedy", chunk_size=4096)
+    blocks = -(-(len(record) - record.burn_in) // 4096)
+    assert blocks * len(templates) > 250
+    assert len(calls) == len(templates)
+    assert 0 not in calls
+    # tallied block by block, the counts are the same
+    monkeypatch.setattr(templates_module, "_PENDING_CAP", 1)
+    calls.clear()
+    assert _tallies(scan(record, templates, mode="greedy",
+                         chunk_size=4096)) == _tallies(got)
+    assert len(calls) > 200
+
+
+# ---------------------------------------------------------------------------
 # Greedy selection against a per-match loop.
 
 
