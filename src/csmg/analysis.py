@@ -17,7 +17,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .stream import check_probability, check_splitter
-from .templates import CorrelatorEstimate, _checked, slot_counts
+from .templates import (CorrelatorEstimate, _checked, check_each_once,
+                        slot_counts)
 
 _THIRD = 1.0 / 3.0
 
@@ -154,10 +155,12 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
     not positive or that lacks a match in either family, and certify the
     last l that passed (0 if none).  An order fixed before the data are
     seen keeps the family-wise error at the per-l rate.  A negative or
-    non-finite z would raise the bound instead, so it is rejected.
+    non-finite z would raise the bound instead, so it is rejected, and so
+    is a template given twice.
     """
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"z must be finite and >= 0, got {z}")
+    check_each_once(estimates)
     by_l: Dict[int, Dict[str, CorrelatorEstimate]] = {}
     for est in estimates:
         by_l.setdefault(est.l, {})[est.family] = est
@@ -286,8 +289,10 @@ def fit_error_model(estimates: Sequence[CorrelatorEstimate]) -> ErrorModelFit:
     one pseudo-count, so a starved cell cannot claim infinite weight.
     Needs >= 3 distinct separations and a rank-2 design; the
     three-basis family alone cannot separate the two channels (its two
-    exponents coincide), so include the two-basis one.
+    exponents coincide), so include the two-basis one.  A template given
+    twice would count as two independent points, so it is rejected.
     """
+    check_each_once(estimates)
     xs: List[Tuple[float, float]] = []
     ys: List[float] = []
     sigmas: List[float] = []
@@ -471,11 +476,14 @@ def max_direct_length(family: str, p_d: float, n_budget: float, *,
     the reach in O(log l) probes, each of O(1) slot counts.  Any finite
     budget is searched in full: at p_d = 1 Gamma1's probability falls
     only as about 1/l^2, so its reach grows as the square root of the
-    budget.  Returns 0 when even l = 2 is out of reach.
+    budget.  Returns 0 when even l = 2 is out of reach.  min_expected
+    must be finite and > 0.
     """
     _check_budget(n_budget)
-    if min_expected <= 0.0:
+    if not min_expected > 0.0:  # NaN too
         raise ValueError("min_expected must be > 0")
+    if math.isinf(min_expected):
+        raise ValueError("min_expected must be finite")
     return _last_on_grid(
         lambda l: (instance_probability(family, l, p_d,
                                         *splitter_settings(family, l))

@@ -17,8 +17,8 @@ from typing import Dict, Optional, Tuple, get_type_hints
 
 from .stream import ExperimentConfig
 from .templates import (FAMILIES, Template, _check_length,
-                        certifiable_lengths, check_family, check_scan,
-                        make_template)
+                        certifiable_lengths, check_each_once, check_family,
+                        check_scan, make_template)
 
 
 class ConfigError(Exception):
@@ -95,12 +95,10 @@ class RunConfig(ExperimentConfig):
         templates = tuple(make_template(family, l)
                           for family in self.families
                           for l in self.separations())
-        ids = [t.id for t in templates]
-        repeated = sorted({i for i in ids if ids.count(i) > 1})
-        if repeated:
-            # a repeated template would be fitted as an independent point
-            raise ConfigError(f"template selected more than once: "
-                              f"{', '.join(repeated)}")
+        try:
+            check_each_once(templates)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return templates
 
 

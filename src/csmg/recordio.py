@@ -16,8 +16,8 @@ absolute file offset of the first offender.
 
 Records stream through fixed buffers in both directions: ``record_writer``
 takes the payload piece by piece, and ``open_record`` returns a
-``RecordFile``, which reads any run of its bytes through the open file
-with ``os.preadv`` and maps nothing.
+``RecordFile``, which validates the payload as it is made, reads any run
+of its bytes through the open file with ``os.preadv`` and maps nothing.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ def event_outcome(byte: int) -> int:
 class ClickRecord:
     """A photon-by-photon detection record; its fields cannot be reassigned.
 
-    ``events`` is a uint8 array using the byte encoding above; the first
+    ``events`` is a 1-D uint8 array in the byte encoding above; the first
     ``burn_in`` photons were produced while the source settles and are
     always skipped during scanning.  ``burn_in`` is an integer in
     [0, MAX_BURN_IN], so every record fits the file header.  Values that
@@ -129,6 +129,8 @@ class ClickRecord:
                 raise ValueError("events must be byte values that a uint8 "
                                  f"cast keeps, got {given.dtype} values "
                                  "that it changes")
+        if np.ndim(events) != 1:  # one byte per photon, never reshaped
+            raise ValueError(f"events must be 1-D, got {np.ndim(events)}-D")
         object.__setattr__(self, "events", np.ascontiguousarray(events))
         object.__setattr__(self, "burn_in", check_burn_in(self.burn_in))
 
@@ -246,9 +248,10 @@ def _read_header(raw: bytes) -> Tuple[int, int]:
 class RecordFile:
     """A record read through its open file, which nothing maps.
 
-    Made from a path, it checks the header and the file size;
-    ``open_record`` also validates the payload.  A descriptor means
-    nothing in another process, so it pickles as its ``load()`` copy.
+    Made from a path, it checks the header, the file size and every
+    payload byte, read through ``read`` 256 KiB at a time into one buffer.
+    A descriptor means nothing in another process, so it pickles as its
+    ``load()`` copy.
     """
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
@@ -261,6 +264,11 @@ class RecordFile:
                 f"file holds {size - HEADER_SIZE} photons, header promised {count}",
                 HEADER_SIZE + min(size - HEADER_SIZE, count))
         self._count = count
+        piece = np.empty(min(count, _VALIDATE_CHUNK), dtype=np.uint8)
+        for start in range(0, count, _VALIDATE_CHUNK):
+            part = piece[:min(_VALIDATE_CHUNK, count - start)]
+            self.read(start, part)
+            validate_events(part, HEADER_SIZE + start)
 
     def __len__(self) -> int:
         return self._count
@@ -292,15 +300,6 @@ class RecordFile:
 
 
 def open_record(path: Union[str, os.PathLike]) -> RecordFile:
-    """Open a record read-only; every payload byte is validated.
-
-    Validation reads the payload through ``RecordFile.read``, 256 KiB at
-    a time into one buffer.
-    """
-    record = RecordFile(path)
-    piece = np.empty(min(len(record), _VALIDATE_CHUNK), dtype=np.uint8)
-    for start in range(0, len(record), _VALIDATE_CHUNK):
-        part = piece[:min(_VALIDATE_CHUNK, len(record) - start)]
-        record.read(start, part)
-        validate_events(part, HEADER_SIZE + start)
-    return record
+    """Open a record read-only: ``RecordFile(path)``, which validates
+    every payload byte as it is made."""
+    return RecordFile(path)

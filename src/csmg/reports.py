@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .analysis import (ErrorModelFit, LEBoundTable, XiEstimate,
                        max_direct_length, naive_tomography_K, xi_from_rates)
-from .templates import FAMILIES, CorrelatorEstimate, template_id
+from .templates import FAMILIES, CorrelatorEstimate, check_each_once
 
 ESTIMATE_COLUMNS = ("template", "l", "n_matches", "signed_sum", "mean",
                     "stderr", "overlap_fraction")
@@ -49,7 +48,6 @@ def write_estimates_csv(path: str,
 
 def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
     estimates: List[CorrelatorEstimate] = []
-    seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -60,49 +58,24 @@ def read_estimates_csv(path: str) -> List[CorrelatorEstimate]:
                 continue
             if len(row) != len(ESTIMATE_COLUMNS):
                 raise ValueError(f"{path}: bad estimates row {row}")
-            row_id = row[0]
-            if row_id in seen:
-                raise ValueError(f"{path}: repeated template in estimates "
-                                 f"row {row}")
-            seen.add(row_id)
-            family = row_id.split("(", 1)[0]
             try:
-                l = int(row[1])
-                named = template_id(family, l)
-                est = CorrelatorEstimate(
-                    family=family,
-                    l=l,
-                    match_count=int(row[2]),
-                    signed_sum=int(row[3]),
-                    overlap_fraction=float(row[6]),
-                )
+                # the id's family and the l, n_matches, signed_sum and
+                # overlap_fraction columns; mean and stderr follow from them
+                est = CorrelatorEstimate(row[0].split("(", 1)[0], int(row[1]),
+                                         int(row[2]), int(row[3]),
+                                         float(row[6]))
+                if row[0] != est.template_id:
+                    raise ValueError(
+                        f"template id that does not name l = {est.l}")
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: {exc} in estimates row {row}") from None
-            # the id names (family, l), so a repeated (family, l) repeats it
-            problem = (f"template id that does not name l = {l}"
-                       if row_id != named
-                       else _estimate_problem(est))
-            if problem:
-                raise ValueError(f"{path}: {problem} in estimates row {row}")
             estimates.append(est)
+    try:
+        check_each_once(estimates)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return estimates
-
-
-def _estimate_problem(est: CorrelatorEstimate) -> str:
-    """Why no scan could have produced est's counts, or "" if one could."""
-    if est.match_count < 0:
-        return "negative match count"
-    if abs(est.signed_sum) > est.match_count:
-        return "signed sum larger than the match count"
-    # signed_sum = match_count - 2 * (number of -1 windows)
-    if (est.match_count - est.signed_sum) % 2:
-        return "signed sum and match count of different parity"
-    if not math.isfinite(est.overlap_fraction):
-        return "non-finite overlap fraction"
-    if not 0.0 <= est.overlap_fraction <= 1.0:
-        return "overlap fraction outside [0, 1]"
-    return ""
 
 
 def write_bounds_csv(path: str, table: LEBoundTable) -> None:

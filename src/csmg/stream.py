@@ -440,7 +440,9 @@ def _normalize_forced(forced_bases, n: int) -> Optional[np.ndarray]:
     if arr.ndim != 1 or arr.shape[0] != n:
         raise ValueError("forced_bases must be a 1-D sequence of one basis "
                          "per photon")
-    if arr.dtype.kind not in "iuf" or not np.isin(arr, (0, 1, 2)).all():
+    # three compares: np.isin took about half of a forced 10-photon call
+    if arr.dtype.kind not in "iuf" or not (
+            (arr == 0) | (arr == 1) | (arr == 2)).all():
         raise ValueError("forced basis codes must be the integers 0 (X), "
                          "1 (Y) or 2 (Z)")
     return arr.astype(np.uint8, copy=False)

@@ -17,14 +17,15 @@ then on a short simulated stream.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .pauli import PauliString
 from .recordio import (BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z, ClickRecord,
-                       RecordFile)
+                       RecordFile, as_int)
 
 # a slot holds the basis code a record byte carries in ``byte >> 1``, so
 # the scan compares record bytes with slots directly
@@ -76,7 +77,7 @@ def certifiable_lengths(l_max: int) -> List[int]:
 
 
 def _check_length(l: int) -> None:
-    if l < 2 or l % 3 != 2:
+    if as_int("l", l) < 2 or l % 3 != 2:
         raise ValueError(f"separation {l} is not supported "
                          f"(need l >= 2, l = 2 mod 3)")
 
@@ -95,15 +96,17 @@ def _checked(family: str, l: int) -> str:
     return family
 
 
-def check_scan(mode: str, stride: int, threads: int) -> None:
-    """The scan settings' rules: a mode in MODES, stride and threads >= 1."""
+def check_scan(mode: str, stride: int, threads: int,
+               chunk_size: int = 1) -> None:
+    """The scan settings' rules: a mode in MODES, and stride, threads and
+    chunk_size integers >= 1."""
     if mode not in MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, "
                          f"got {mode!r}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    for name, value in (("stride", stride), ("threads", threads),
+                        ("chunk_size", chunk_size)):
+        if as_int(name, value) < 1:
+            raise ValueError(f"{name} must be >= 1")
 
 
 def _pattern_counts(pattern: str) -> Tuple[int, int, int, int]:
@@ -129,6 +132,16 @@ def slot_counts(family: str, l: int) -> Tuple[int, int, int, int]:
 def template_id(family: str, l: int) -> str:
     """``make_template(family, l).id``, without building the template."""
     return f"{_checked(family, l)}(l={l})"
+
+
+def check_each_once(items: Iterable) -> None:
+    """Reject templates or estimates that name a (family, l) more than
+    once: a repeat would enter a fit as an independent point."""
+    ids = Counter(template_id(item.family, item.l) for item in items)
+    repeated = sorted(i for i, n in ids.items() if n > 1)
+    if repeated:
+        raise ValueError(f"template selected more than once: "
+                         f"{', '.join(repeated)}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +265,7 @@ def verify_template(template: Template, *, windows: int = 256) -> None:
 # ---------------------------------------------------------------------------
 # Scanning.
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelatorEstimate:
     """Match statistics for one template over one record.
 
@@ -260,7 +273,8 @@ class CorrelatorEstimate:
     estimates merge across chunks and threads without rounding.
     ``overlap_fraction`` is the fraction of matches starting within
     span - 1 photons of the previous match; overlapping windows share
-    photons and are therefore correlated samples.
+    photons and are therefore correlated samples.  It holds only integer
+    counts a scan could produce: others raise ValueError when it is built.
     """
 
     family: str
@@ -268,6 +282,20 @@ class CorrelatorEstimate:
     match_count: int
     signed_sum: int
     overlap_fraction: float
+
+    def __post_init__(self) -> None:
+        _checked(self.family, self.l)
+        if as_int("match_count", self.match_count) < 0:
+            raise ValueError("negative match count")
+        if abs(as_int("signed_sum", self.signed_sum)) > self.match_count:
+            raise ValueError("signed sum larger than the match count")
+        # signed_sum = match_count - 2 * (number of -1 windows)
+        if (self.match_count - self.signed_sum) % 2:
+            raise ValueError("signed sum and match count of different parity")
+        if not math.isfinite(self.overlap_fraction):
+            raise ValueError("non-finite overlap fraction")
+        if not 0.0 <= self.overlap_fraction <= 1.0:
+            raise ValueError("overlap fraction outside [0, 1]")
 
     @property
     def template_id(self) -> str:
@@ -588,9 +616,7 @@ def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
     signed sums and overlap fractions are bit-identical for any ``chunk_size``
     and ``threads``.
     """
-    check_scan(mode, stride, threads)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    check_scan(mode, stride, threads, chunk_size)
     anchor = record.burn_in
     templates = list(templates)
     if not templates:
@@ -629,10 +655,5 @@ def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
 
 def _estimate_from(template: Template, acc: _Accumulator) -> CorrelatorEstimate:
     overlap = acc.overlaps / acc.count if acc.count else 0.0
-    return CorrelatorEstimate(
-        family=template.family,
-        l=template.l,
-        match_count=acc.count,
-        signed_sum=acc.count - 2 * acc.parity,
-        overlap_fraction=overlap,
-    )
+    return CorrelatorEstimate(template.family, template.l, acc.count,
+                              acc.count - 2 * acc.parity, overlap)

@@ -141,6 +141,35 @@ def _estimate(family, l, count, signed):
                               signed_sum=signed, overlap_fraction=0.0)
 
 
+def test_a_repeated_template_is_refused_by_bounds_and_fit():
+    # direct_bounds used to keep the last of the two (row mean -1.0), and
+    # fit_error_model to fit both as independent points
+    ests = [_estimate(fam, l, 1000, 900) for fam in ("Gamma1", "Gamma2")
+            for l in (2, 5, 8)]
+    message = "template selected more than once: Gamma1(l=2)"
+    for repeat in (_estimate("Gamma1", 2, 1000, 1000),
+                   _estimate("Gamma1", 2, 1000, -1000)):
+        for analyse in (direct_bounds, fit_error_model):
+            with pytest.raises(ValueError) as err:
+                analyse(ests + [repeat])
+            assert str(err.value) == message
+    assert direct_bounds(ests).rows[0].mu_gamma1 == 0.9
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.0, "min_expected must be > 0"),
+    (-1.0, "min_expected must be > 0"),
+    (math.nan, "min_expected must be > 0"),
+    (math.inf, "min_expected must be finite"),
+])
+def test_max_direct_length_takes_a_finite_positive_min_expected(value,
+                                                                message):
+    # NaN and inf used to give a reach of 0 for every family
+    with pytest.raises(ValueError) as err:
+        max_direct_length("Gamma1", 0.5, 1e10, min_expected=value)
+    assert str(err.value) == message
+
+
 def test_direct_bounds_perfect_correlations():
     ests = [_estimate("Gamma1", 2, 1000, 1000),
             _estimate("Gamma2", 2, 1000, 1000)]
@@ -305,7 +334,8 @@ def test_fit_recovers_with_noisy_points():
         for l in (2, 5, 8):
             mu = predicted_template_mean(fam, l, p_sigma, p_zz)
             n = 50000
-            signed = int(round(n * (mu + rng.normal(0, 0.002))))
+            # the nearest signed sum a scan can produce: n's parity
+            signed = 2 * int(round(n * (mu + rng.normal(0, 0.002)) / 2))
             ests.append(_estimate(fam, l, n, signed))
     fit = fit_error_model(ests)
     assert abs(fit.p_sigma - p_sigma) < 4 * fit.stderr_p_sigma + 1e-4

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csmg.analysis import instance_probability, predicted_template_mean
+from csmg.analysis import (direct_bounds, fit_error_model,
+                           instance_probability, predicted_template_mean)
 from csmg.cli import _load_config, build_parser, run
 from csmg.config import (
     ConfigError,
@@ -22,8 +23,9 @@ from csmg.config import (
     parse_config,
     read_config,
 )
-from csmg.recordio import (HEADER_SIZE, ClickRecord, open_record,
-                           record_writer, write_record)
+from csmg.recordio import (HEADER_SIZE, ClickRecord, RecordFile,
+                           RecordFormatError, open_record, record_writer,
+                           write_record)
 from csmg.reports import read_estimates_csv, write_estimates_csv
 from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import (CorrelatorEstimate, make_template, scan,
@@ -270,18 +272,61 @@ def _scan_short_record(**kwargs):
     return scan(record, [make_template("Gamma1", 2)], **kwargs)
 
 
+def _record_with_ff(path="bad.csmg"):
+    """A 200-photon record, in the working directory, with 0xFF at
+    payload byte 7."""
+    write_record(path, ClickRecord(events=np.full(200, 0x06, np.uint8)))
+    with open(path, "r+b") as fh:
+        fh.seek(HEADER_SIZE + 7)
+        fh.write(b"\xff")
+    return path
+
+
+def _read_estimates(*estimates, path="estimates.csv"):
+    """read_estimates_csv of the estimates' rows, written to the working
+    directory; an estimate is (family, l, count, signed, overlap)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["template", "l", "n_matches", "signed_sum", "mean",
+                         "stderr", "overlap_fraction"])
+        writer.writerows([f"{f}(l={l})", l, n, s, 0.0, 0.0, o]
+                         for f, l, n, s, o in estimates)
+    return read_estimates_csv(path)
+
+
+_IMPOSSIBLE_ESTIMATES = {
+    "negative count": ("Gamma1", 2, -3, 1, 0.0),
+    "signed sum": ("Gamma1", 2, 3, 5, 0.0),
+    "parity": ("Gamma1", 2, 4, 1, 0.0),
+    "non-finite overlap": ("Gamma1", 2, 4, 2, float("nan")),
+    "overlap range": ("Gamma1", 2, 4, 2, 1.5),
+}
+_TWICE = [CorrelatorEstimate(f, l, 100, 60, 0.0)
+          for f in ("Gamma1", "Gamma2") for l in (2, 5, 8)]
+_TWICE.append(_TWICE[0])
+
+
 # every entry point of each rule; their texts must agree, apart from the
-# "families: " key that RunConfig puts before a family's
+# "families: " key that RunConfig puts before a family's, and the path
+# and row that the estimates reader puts around its
 _RULE_ENTRY_POINTS = {
     "family": [lambda: make_template("Bogus", 5),
                lambda: slot_counts("Bogus", 5),
                lambda: RunConfig(families=("Bogus",))],
+    "l integer": [lambda: make_template("Gamma1", 5.0),
+                  lambda: slot_counts("Gamma1", 5.0),
+                  lambda: RunConfig(l_values=(5.0,)),
+                  lambda: CorrelatorEstimate("Gamma1", 5.0, 4, 2, 0.0)],
     "mode": [lambda: _scan_short_record(mode="eager"),
              lambda: RunConfig(mode="eager")],
     "stride": [lambda: _scan_short_record(stride=0),
                lambda: RunConfig(stride=0)],
+    "stride integer": [lambda: _scan_short_record(stride=1.5),
+                       lambda: RunConfig(stride=1.5)],
     "threads": [lambda: _scan_short_record(threads=0),
                 lambda: RunConfig(threads=0)],
+    "threads integer": [lambda: _scan_short_record(threads=2.0),
+                        lambda: RunConfig(threads=2.0)],
     "burn_in": [lambda: ExperimentConfig(n_photons=10, burn_in=2 ** 64),
                 lambda: ClickRecord(events=np.zeros(4, np.uint8),
                                     burn_in=2 ** 64)],
@@ -290,16 +335,32 @@ _RULE_ENTRY_POINTS = {
             lambda: instance_probability("Gamma1", 5, 0.5, -0.1, 0.55, 0.55)],
     "p_sigma": [lambda: ExperimentConfig(n_photons=10, p_sigma=1.5),
                 lambda: predicted_template_mean("Gamma1", 5, 1.5, 0.0)],
+    **{f"estimate {name}": [lambda e=e: CorrelatorEstimate(*e),
+                            lambda e=e: _read_estimates(e)]
+       for name, e in _IMPOSSIBLE_ESTIMATES.items()},
+    "record bytes": [lambda: RecordFile(_record_with_ff()),
+                     lambda: open_record(_record_with_ff())],
+    "repeated template": [
+        lambda: RunConfig(families=("Gamma1", "Gamma1"),
+                          l_values=(2,)).templates(),
+        lambda: _read_estimates(("Gamma1", 2, 4, 2, 0.0),
+                                ("Gamma1", 2, 4, 2, 0.0)),
+        lambda: direct_bounds(_TWICE),
+        lambda: fit_error_model(_TWICE)],
 }
 
 
 @pytest.mark.parametrize("rule", sorted(_RULE_ENTRY_POINTS))
-def test_each_rule_has_one_message_from_every_entry_point(rule):
+def test_each_rule_has_one_message_from_every_entry_point(rule, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the files some entry points read
     messages = []
     for call in _RULE_ENTRY_POINTS[rule]:
-        with pytest.raises((ValueError, ConfigError)) as err:
+        with pytest.raises((ValueError, ConfigError, RecordFormatError)) as err:
             call()
-        messages.append(str(err.value).removeprefix("families: "))
+        message = str(err.value).removeprefix("families: ")
+        messages.append(message.removeprefix("estimates.csv: ")
+                        .split(" in estimates row ")[0])
     assert len(set(messages)) == 1, messages
 
 
@@ -409,14 +470,15 @@ def test_estimates_csv_rejects_repeated_template(tmp_path, capsys):
     est = CorrelatorEstimate("Gamma1", 2, 100, 60, 0.0)
     other = CorrelatorEstimate("Gamma2", 2, 100, 40, 0.0)
     write_estimates_csv(path, [est, other, est])
-    with pytest.raises(ValueError, match="repeated template") as err:
+    with pytest.raises(ValueError, match="template selected more than once"
+                       ) as err:
         read_estimates_csv(path)
     assert str(path) in str(err.value)
     assert "Gamma1(l=2)" in str(err.value)
     assert run(["analyze", str(path), "--out-bounds",
                 str(tmp_path / "b.csv"), "--out-summary",
                 str(tmp_path / "s.json")]) == 2
-    assert "repeated template" in capsys.readouterr().err
+    assert "template selected more than once" in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
     # nor may a row hide a repeated (family, l) under another id
     rows = _read_csv(path)[:3]
@@ -696,6 +758,22 @@ def test_plan_prints_nothing_on_exit_code_2(capsys):
     # the reach rule fails after the tomography line could be printed
     assert run(["plan", "--pd", "0.5", "--min-expected", "0"]) == 2
     assert capsys.readouterr() == ("", "error: min_expected must be > 0\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("nan", "min_expected must be > 0"),
+    ("inf", "min_expected must be finite"),
+])
+def test_plan_and_report_refuse_a_non_finite_min_expected(tmp_path, value,
+                                                          message, capsys):
+    # both used to exit 0 with a reach of 0 for every family
+    assert run(["plan", "--pd", "0.5", "--min-expected", value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    out_dir = tmp_path / "tables"
+    assert run(["report", "--out-dir", str(out_dir),
+                "--min-expected", value]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out_dir.exists()
 
 
 def test_verify_ok(capsys):

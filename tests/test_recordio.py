@@ -17,6 +17,7 @@ from csmg.recordio import (
     MAX_BURN_IN,
     VERSION,
     ClickRecord,
+    RecordFile,
     RecordFormatError,
     encode_event,
     event_basis,
@@ -165,6 +166,34 @@ def _record_with_bad_byte(path, n, where):
     blob = bytearray(path.read_bytes())
     blob[HEADER_SIZE + where] = 0x09
     path.write_bytes(bytes(blob))
+
+
+def test_a_record_file_validates_its_payload_when_made(tmp_path):
+    # RecordFile(path) used to check the header and size alone, so a scan
+    # of this file counted matches as if the 0xFF byte were an event
+    path = tmp_path / "bad.csmg"
+    write_record(path, ClickRecord(events=np.tile(
+        np.array([0x06, 0x04, 0x04], np.uint8), 67)[:200]))
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE + 7] = 0xFF
+    path.write_bytes(bytes(blob))
+    for opener in (RecordFile, open_record):
+        with pytest.raises(RecordFormatError) as err:
+            opener(path)
+        assert str(err.value) == "invalid event byte 0xFF (byte offset 28)"
+        assert err.value.offset == 28
+
+
+@pytest.mark.parametrize("events, ndim", [
+    (np.full((3, 4), 0x04, np.uint8), 2),
+    (np.array(0x04, np.uint8), 0),
+    (0x04, 0),
+])
+def test_record_takes_one_byte_per_photon_only(events, ndim):
+    # a (3, 4) array used to make a 3-photon record whose file held 12
+    # payload bytes, and a 0-d array a record of one photon
+    with pytest.raises(ValueError, match=f"^events must be 1-D, got {ndim}-D$"):
+        ClickRecord(events=events)
 
 
 def test_open_record_reports_offset_past_first_chunk(tmp_path):

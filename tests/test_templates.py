@@ -410,6 +410,39 @@ def test_estimate_id_is_read_from_family_and_l():
         "Gamma2(l=8)"
 
 
+@pytest.mark.parametrize("args, message", [
+    (("Gamma1", 2, -3, 1, 0.0), "negative match count"),
+    (("Gamma1", 2, 4.5, 0.5, 0.0), "match_count must be an integer, got 4.5"),
+    (("Gamma1", 2, 4, 2.0, 0.0), "signed_sum must be an integer, got 2.0"),
+    (("Gamma1", 2.0, 4, 2, 0.0), "l must be an integer, got 2.0"),
+    (("Gamma1", 2, 3, 5, 0.0), "signed sum larger than the match count"),
+    (("Gamma1", 2, 3, -5, 0.0), "signed sum larger than the match count"),
+    (("Gamma1", 2, 4, 1, 0.0),
+     "signed sum and match count of different parity"),
+    (("Gamma1", 2, 4, 2, float("nan")), "non-finite overlap fraction"),
+    (("Gamma1", 2, 4, 2, float("inf")), "non-finite overlap fraction"),
+    (("Gamma1", 2, 4, 2, 1.5), "overlap fraction outside [0, 1]"),
+    (("Gamma1", 2, 4, 2, -0.25), "overlap fraction outside [0, 1]"),
+    (("Gamma1", 3, 4, 2, 0.0),
+     "separation 3 is not supported (need l >= 2, l = 2 mod 3)"),
+    (("Gamma9", 2, 4, 2, 0.0), "unknown template family 'Gamma9'"),
+])
+def test_an_estimate_no_scan_could_produce_is_refused_when_built(args,
+                                                                 message):
+    # the count rules used to be applied by the estimates reader alone,
+    # so the analysis took such estimates from any other caller
+    with pytest.raises(ValueError) as err:
+        CorrelatorEstimate(*args)
+    assert str(err.value) == message
+
+
+def test_an_estimate_cannot_be_changed_once_checked():
+    est = CorrelatorEstimate("Gamma1", 2, 4, 2, 0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.signed_sum = 5
+    assert est.signed_sum == 2
+
+
 def test_scan_never_sees_a_negative_burn_in():
     # a negative start would index from the end; a ClickRecord rejects
     # one when it is built and cannot be reassigned afterwards
@@ -420,6 +453,18 @@ def test_scan_never_sees_a_negative_burn_in():
         rec.burn_in = -1
     assert rec.burn_in == 0
     assert scan(rec, [t])[0].match_count == 50
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "4"])
+def test_scan_takes_only_an_integer_chunk_size(value):
+    rec = _record(events_from_text("Z+ Y+ Y+ Z+ " * 50))
+    with pytest.raises(ValueError,
+                       match=f"^chunk_size must be an integer, got {value!r}$"):
+        scan(rec, [make_template("Gamma1", 2)], chunk_size=value)
+    with pytest.raises(ValueError, match="^chunk_size must be >= 1$"):
+        scan(rec, [make_template("Gamma1", 2)], chunk_size=0)
+    assert scan(rec, [make_template("Gamma1", 2)],
+                chunk_size=np.int64(7))[0].match_count == 50
 
 
 @pytest.mark.parametrize("burn_in", [0, 3])
