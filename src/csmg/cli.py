@@ -8,18 +8,16 @@ reads it as it reads that key's value in a file, so a flag and a file
 line accept the same values and reject a bad one with the same message.
 Every other flag's text is read by the same reader too: ``report
 --psigmas`` as a config-file list, and ``plan --pd``, ``--budget``,
-``--min-expected``, ``analyze --z``, ``verify --windows`` and
-CSMG_THREADS as config-file numbers, so a bad one exits 2 with the
-config reader's message.  Every field value is checked as the RunConfig
-is built.
+``--min-expected``, ``analyze --z`` and ``verify --windows`` as
+config-file numbers, so a bad one exits 2 with the config reader's
+message.  Every field value is checked as the RunConfig is built.
 
 Exit codes: 0 success, 1 usage error, 2 data or configuration error,
 3 template verification failure.  analyze, plan and report compute
 everything before they write, so on exit 2 they leave no file and no
 result line; simulate writes its record under a temporary name and
 renames it onto ``--out`` only once it is whole, so a failed run leaves
-no partial record and keeps any file already there.  Scan threads are
-capped by the CPU count and by the CSMG_THREADS environment variable.
+no partial record and keeps any file already there.
 """
 from __future__ import annotations
 
@@ -53,14 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(1)
-
-
-def _effective_threads(requested: int) -> int:
-    cap = os.cpu_count() or 1
-    env = os.environ.get("CSMG_THREADS")
-    if env:
-        cap = min(cap, parse_scalar("CSMG_THREADS", int, env))
-    return max(1, min(requested, cap))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -142,7 +132,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     templates = cfg.templates()
     record = open_record(record_path)
     estimates = scan(record, templates, mode=cfg.mode, stride=cfg.stride,
-                     threads=_effective_threads(cfg.threads))
+                     threads=cfg.threads)
     write_estimates_csv(out, estimates)
     for est in estimates:
         print(f"{est.template_id}: {est.match_count} matches, "

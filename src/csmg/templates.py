@@ -17,6 +17,7 @@ then on a short simulated stream.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -32,8 +33,10 @@ from .recordio import (BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z, ClickRecord,
 SLOT_FREE, SLOT_X, SLOT_Y, SLOT_Z = BASIS_NONE, BASIS_X, BASIS_Y, BASIS_Z
 _SLOT_NAMES = ("_", "X", "Y", "Z")
 
-# Window starts per scan block: enough to amortise the per-block trie walk,
-# few enough that a block's arrays stay near a 2 MiB L2 cache.
+# Window starts per scan block.  A range's buffer holds 5 + _MASK_ROWS rows
+# of a block plus its halo, about 4.5 MiB at 2^19.  Of widths 2^17 to 2^21,
+# 2^19 scanned fastest on all three benchmark workloads (2-core Xeon);
+# 2^18 peaked about 2.5 MiB lower but scanned 1-7% slower.
 _DEFAULT_CHUNK = 1 << 19
 # A trie node's starts turn from a boolean mask into an index array once
 # fewer than one window start in _SPARSE_RATIO survives.
@@ -610,7 +613,8 @@ def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
     range ends, so fewer than _PENDING_CAP plus one block's width of
     matches wait at once.
     ``threads > 1`` splits the window starts into that many contiguous
-    ranges, scanned concurrently and joined in order.  Greedy mode runs
+    ranges, but no more than ``os.cpu_count()`` (one when that is
+    unknown), scanned concurrently and joined in order.  Greedy mode runs
     as one range, its kept matches computed per batch by pointer doubling
     (see ``_consume_block``), so ``threads`` is ignored there.  Counts,
     signed sums and overlap fractions are bit-identical for any ``chunk_size``
@@ -629,8 +633,7 @@ def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
     # alone; capped, the int64 modulus in _scan_range cannot overflow
     stride = min(stride, o_hi - anchor)
     root = _trie(templates)
-    if mode == "greedy":
-        threads = 1
+    threads = 1 if mode == "greedy" else min(threads, os.cpu_count() or 1)
     bounds = np.linspace(anchor, o_hi, threads + 1).astype(np.int64)
     ranges = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 

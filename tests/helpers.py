@@ -6,7 +6,8 @@ That is the point: none of the package's sparse bookkeeping is reused.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
@@ -141,6 +142,13 @@ def reference_scan(events: Sequence[int], template: Template, *,
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
+
+
+def cpus(n: Optional[int]):
+    """Patch ``os.cpu_count`` to return ``n``: ``scan`` runs no more
+    ranges than that, so a test of the range split asks for the CPUs it
+    needs instead of taking the host's."""
+    return mock.patch("os.cpu_count", return_value=n)
 
 
 def events_from_text(text: str) -> bytes:

@@ -36,6 +36,7 @@ from csmg.templates import certifiable_lengths, make_template, scan, verify_temp
 
 from helpers import (
     cluster_state,
+    cpus,
     measurement_distribution,
     rho_from_moments,
     total_variation,
@@ -329,8 +330,9 @@ def test_criterion_8_determinism_and_stitching(tmp_path):
                for e in scan(rec_a, templates, chunk_size=chunk_size)]
         assert got == ref
     for threads in (2, 4):
-        got = [(e.match_count, e.signed_sum)
-               for e in scan(rec_a, templates, threads=threads)]
+        with cpus(threads):
+            got = [(e.match_count, e.signed_sum)
+                   for e in scan(rec_a, templates, threads=threads)]
         assert got == ref
     _report("criterion 8", "records byte-identical, engines agree, "
             "scan invariant under chunking and threads")

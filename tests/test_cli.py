@@ -31,7 +31,7 @@ from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import (CorrelatorEstimate, make_template, scan,
                             slot_counts, verify_template_stream)
 
-from helpers import events_from_text
+from helpers import cpus, events_from_text
 
 
 def _read_csv(path):
@@ -938,59 +938,19 @@ def test_bad_config_exit_code_2(tmp_path):
                 "--out", str(tmp_path / "x.csmg")]) == 2
 
 
-def test_bad_threads_env_exit_code_2(tmp_path, monkeypatch, capsys):
-    rec_path = tmp_path / "s.csmg"
-    write_record(rec_path, ClickRecord(events=np.full(64, 0x06, np.uint8),
-                                       burn_in=0))
-    monkeypatch.setenv("CSMG_THREADS", "two")
-    out = tmp_path / "e.csv"
-    assert run(["scan", str(rec_path), "--l-values", "2",
-                "--out", str(out)]) == 2
-    assert capsys.readouterr().err \
-        == "error: CSMG_THREADS: expected an integer, got 'two'\n"
-    assert not out.exists()
-
-
-def test_threads_env_cap(tmp_path, monkeypatch, capsys):
+def test_threads_env_cap(tmp_path):
+    # eight ranges, on eight CPUs, and two write the same estimates
     rec_path = tmp_path / "s.csmg"
     assert run(["simulate", "--photons", "30000", "--seed", "2", "--out",
                 str(rec_path)]) == 0
-    monkeypatch.setenv("CSMG_THREADS", "1")
     out = tmp_path / "e.csv"
-    assert run(["scan", str(rec_path), "--l-values", "2", "--threads", "8",
-                "--out", str(out)]) == 0
-    uncapped = tmp_path / "e2.csv"
-    monkeypatch.delenv("CSMG_THREADS")
+    with cpus(8):
+        assert run(["scan", str(rec_path), "--l-values", "2", "--threads",
+                    "8", "--out", str(out)]) == 0
+    fewer = tmp_path / "e2.csv"
     assert run(["scan", str(rec_path), "--l-values", "2", "--threads", "2",
-                "--out", str(uncapped)]) == 0
-    assert _read_csv(out) == _read_csv(uncapped)
-
-
-@pytest.mark.parametrize("cpus, requested, expected", [
-    (2, 10 ** 9, 2), (None, 8, 1), (4, 3, 3)])
-def test_threads_capped_by_cpu_count(tmp_path, monkeypatch, cpus,
-                                     requested, expected):
-    # the scan is stubbed: no thread pool of the requested size is made
-    import csmg.cli as cli
-
-    rec_path = tmp_path / "s.csmg"
-    write_record(rec_path, ClickRecord(events=np.full(64, 0x06, np.uint8),
-                                       burn_in=0))
-    seen = []
-
-    def fake_scan(record, templates, **kwargs):
-        seen.append(kwargs["threads"])
-        return []
-
-    monkeypatch.delenv("CSMG_THREADS", raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "scan", fake_scan)
-    assert run(["scan", str(rec_path), "--l-values", "2", "--threads",
-                str(requested), "--out", str(tmp_path / "e.csv")]) == 0
-    monkeypatch.setenv("CSMG_THREADS", "1")
-    assert run(["scan", str(rec_path), "--l-values", "2", "--threads",
-                str(requested), "--out", str(tmp_path / "e.csv")]) == 0
-    assert seen == [expected, 1]
+                "--out", str(fewer)]) == 0
+    assert _read_csv(out) == _read_csv(fewer)
 
 
 # ---------------------------------------------------------------------------

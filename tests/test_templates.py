@@ -37,7 +37,8 @@ from csmg.templates import (
 )
 from csmg.analysis import instance_probability
 
-from helpers import events_from_text, pauli_string_matrix, reference_scan
+from helpers import (cpus, events_from_text, pauli_string_matrix,
+                     reference_scan)
 
 
 def _record(events, burn_in=0):
@@ -355,11 +356,34 @@ def test_scan_chunking_and_threads_are_invisible():
         assert [(e.match_count, e.signed_sum) for e in alt] == \
                [(e.match_count, e.signed_sum) for e in ref]
     for threads in (2, 3):
-        alt = scan(rec, templates, threads=threads)
+        with cpus(threads):
+            alt = scan(rec, templates, threads=threads)
         assert [(e.match_count, e.signed_sum, e.overlap_fraction)
                 for e in alt] == \
                [(e.match_count, e.signed_sum, e.overlap_fraction)
                 for e in ref]
+
+
+@pytest.mark.parametrize("cpu_count, threads, ranges", [
+    (2, 1000, 2), (None, 8, 1), (4, 3, 3)])
+def test_scan_caps_ranges_by_cpu_count(monkeypatch, cpu_count, threads,
+                                       ranges):
+    # one range per CPU at most, and one where the CPU count is unknown
+    rec = _record(events_from_text("Z+ Y+ Y- Z+ " * 16))
+    t = make_template("Gamma1", 2)
+    want = scan(rec, [t])
+    assert want[0].match_count == 16
+    seen = []
+    real = templates_module._scan_range
+
+    def spy(*args):
+        seen.append(args[3:5])
+        return real(*args)
+
+    monkeypatch.setattr(templates_module, "_scan_range", spy)
+    with cpus(cpu_count):
+        assert scan(rec, [t], threads=threads) == want
+    assert len(seen) == ranges
 
 
 def test_scan_threads_with_greedy_fall_back_to_sequential():
@@ -477,8 +501,9 @@ def test_scan_takes_a_stride_past_int64(burn_in):
     assert want[0].match_count == (burn_in % 4 == 0)
     for stride in (2 ** 63 - 1, 2 ** 63, 10 ** 29):
         for threads in (1, 2):
-            assert scan(rec, templates, stride=stride,
-                        threads=threads) == want
+            with cpus(threads):
+                assert scan(rec, templates, stride=stride,
+                            threads=threads) == want
 
 
 def test_scan_shares_template_prefixes():
@@ -618,7 +643,8 @@ def _check_against_reference(case):
     events, templates, kwargs = case
     scan_kwargs = dict(kwargs)
     record = ClickRecord(events, burn_in=scan_kwargs.pop("burn_in"))
-    got = scan(record, templates, **scan_kwargs)
+    with cpus(scan_kwargs["threads"]):
+        got = scan(record, templates, **scan_kwargs)
     assert len(got) == len(templates)
     for est, t in zip(got, templates):
         want = _reference_estimate(events, t, kwargs["mode"],
