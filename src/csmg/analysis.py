@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import takewhile
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +52,7 @@ class TwoQubitMoments:
     mu_yz and mu_zy come from the two shifts of the same two-basis
     template; mu_xx from the three-basis one.  The state they define is
     diagonal in a maximally entangled basis, so its spectrum and
-    entanglement have closed forms.
+    entanglement have closed forms.  Fields may be arrays of one shape.
     """
 
     mu_yz: float
@@ -63,9 +62,9 @@ class TwoQubitMoments:
     def __post_init__(self) -> None:
         for name in ("mu_yz", "mu_zy", "mu_xx"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
-            if abs(value) > 1.0 + 1e-9:
+            if (np.abs(value) > 1.0 + 1e-9).any():
                 raise ValueError(f"{name} must lie in [-1, 1]")
 
 
@@ -73,13 +72,13 @@ def rho_tilde_eigenvalues(m: TwoQubitMoments) -> np.ndarray:
     """Spectrum (1 + s1*mu_yz + s2*mu_zy + s1*s2*mu_xx)/4, descending.
 
     The three correlator operators commute pairwise and the third is the
-    product of the first two, so joint signs are (s1, s2, s1*s2).
-    Statistical estimates may produce small negative values; callers
-    clamp with a tolerance rather than reject.
+    product of the first two, so joint signs are (s1, s2, s1*s2).  The
+    spectrum runs along the last axis.  Statistical estimates may produce
+    small negative values; callers clamp with a tolerance, not reject.
     """
     eigs = [(1.0 + s1 * m.mu_yz + s2 * m.mu_zy + s1 * s2 * m.mu_xx) / 4.0
             for s1 in (1.0, -1.0) for s2 in (1.0, -1.0)]
-    return np.sort(np.asarray(eigs))[::-1]
+    return np.sort(np.stack(eigs, axis=-1), axis=-1)[..., ::-1]
 
 
 # a spectrum entry below -_CLAMP_TOL is more than rounding: the moments
@@ -87,18 +86,10 @@ def rho_tilde_eigenvalues(m: TwoQubitMoments) -> np.ndarray:
 _CLAMP_TOL = 1e-9
 
 
-def _concurrence_and_clamped(m: TwoQubitMoments) -> Tuple[float, bool]:
-    """The concurrence, and whether clamping the spectrum removed more
-    than rounding."""
-    eigs = rho_tilde_eigenvalues(m)
-    clamped = bool(eigs[-1] < -_CLAMP_TOL)
-    eigs = np.clip(eigs, 0.0, None)
-    return max(0.0, 2.0 * float((eigs / eigs.sum())[0]) - 1.0), clamped
-
-
-def concurrence(m: TwoQubitMoments) -> float:
+def concurrence(m: TwoQubitMoments) -> np.ndarray:
     """max(0, 2*lambda_max - 1) on the clamped, renormalized spectrum."""
-    return _concurrence_and_clamped(m)[0]
+    eigs = np.clip(rho_tilde_eigenvalues(m), 0.0, None)
+    return np.maximum(0.0, 2.0 * (eigs[..., 0] / eigs.sum(axis=-1)) - 1.0)
 
 
 def eof_from_concurrence(c: float) -> float:
@@ -138,8 +129,18 @@ class LEBoundTable:
     z: float
 
 
-def _clip_unit(v: float) -> float:
-    return min(1.0, max(-1.0, v))
+def _cells(n1: np.ndarray, s1: np.ndarray, n2: np.ndarray, s2: np.ndarray,
+           z: float) -> Tuple[TwoQubitMoments, TwoQubitMoments, np.ndarray]:
+    """The per-cell rule on (match count, signed sum) arrays of one shape,
+    counts > 0: central moments (s1/n1, s1/n1, s2/n2), conservative ones
+    with each mean m lowered by z*sqrt(max(0, 1 - m*m)/n) and clipped to
+    [-1, 1], and whether either spectrum dips below -_CLAMP_TOL."""
+    m1, m2 = s1 / n1, s2 / n2
+    lo1, lo2 = (np.clip(m - z * np.sqrt(np.maximum(0.0, 1.0 - m * m) / n),
+                        -1.0, 1.0) for m, n in ((m1, n1), (m2, n2)))
+    central, cons = TwoQubitMoments(m1, m1, m2), TwoQubitMoments(lo1, lo1, lo2)
+    low = [rho_tilde_eigenvalues(m)[..., -1] for m in (central, cons)]
+    return central, cons, np.minimum(*low) < -_CLAMP_TOL
 
 
 def direct_bounds(estimates: Sequence[CorrelatorEstimate],
@@ -150,43 +151,39 @@ def direct_bounds(estimates: Sequence[CorrelatorEstimate],
     mu_zy = mean of the two-basis template and mu_xx = mean of the
     three-basis one, then reports the central bound and a conservative
     one with every moment lowered by z standard errors (clamped to
-    [-1, 1]).  The table's xi_e is a fixed-sequence test: walk every l in
-    the estimates upward, stop at the first l whose conservative bound is
-    not positive or that lacks a match in either family, and certify the
-    last l that passed (0 if none).  An order fixed before the data are
-    seen keeps the family-wise error at the per-l rate.  A negative or
-    non-finite z would raise the bound instead, so it is rejected, and so
-    is a template given twice.
+    [-1, 1]), by one _cells call for all rows.  xi_e is the end of a
+    fixed-sequence walk up the l of the estimates: the last l of the
+    leading run whose conservative bound is positive, where an l that
+    lacks a match in either family ends the run (0 if none).  An order
+    fixed before the data are seen keeps the family-wise error at the
+    per-l rate.  A negative or non-finite z would raise the bound
+    instead, so it is rejected, and so is a template given twice.
     """
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"z must be finite and >= 0, got {z}")
     check_each_once(estimates)
-    by_l: Dict[int, Dict[str, CorrelatorEstimate]] = {}
-    for est in estimates:
-        by_l.setdefault(est.l, {})[est.family] = est
+    by_l: Dict[int, Dict[str, Tuple[int, int]]] = {}
+    for e in estimates:
+        by_l.setdefault(e.l, {})[e.family] = e.match_count, e.signed_sum
     candidates = sorted(by_l)
-    rows: List[LEBoundRow] = []
-    for l in candidates:
-        e1, e2 = (by_l[l].get(family) for family in ("Gamma1", "Gamma2"))
-        if any(e is None or e.match_count <= 0 for e in (e1, e2)):
-            continue
-        m1 = _clip_unit(e1.mean - z * e1.stderr)
-        m2 = _clip_unit(e2.mean - z * e2.stderr)
-        c_central, clamped_central = _concurrence_and_clamped(
-            TwoQubitMoments(e1.mean, e1.mean, e2.mean))
-        c_cons, clamped_cons = _concurrence_and_clamped(
-            TwoQubitMoments(m1, m1, m2))
-        rows.append(LEBoundRow(
-            l=l,
-            mu_gamma1=e1.mean,
-            mu_gamma2=e2.mean,
-            eof_central=eof_from_concurrence(c_central),
-            eof_conservative=eof_from_concurrence(c_cons),
-            clamped=clamped_central or clamped_cons,
-        ))
-    passed = {r.l for r in rows if r.eof_conservative > 0.0}
-    xi = max(takewhile(passed.__contains__, candidates), default=0)
-    return LEBoundTable(rows=tuple(rows), xi_e=xi, z=z)
+    # (n1, s1, n2, s2) for each l; a missing family has no match
+    counts = np.array([by_l[l].get("Gamma1", (0, 0))
+                       + by_l[l].get("Gamma2", (0, 0)) for l in candidates],
+                      dtype=float).reshape(-1, 4)
+    full = (counts[:, 0] > 0) & (counts[:, 2] > 0)
+    central, cons, clamped = _cells(*counts[full].T, z)
+    rows = tuple(
+        LEBoundRow(l=l, mu_gamma1=mu1, mu_gamma2=mu2,
+                   eof_central=eof_from_concurrence(c),
+                   eof_conservative=eof_from_concurrence(c_cons), clamped=f)
+        for l, mu1, mu2, c, c_cons, f in zip(
+            np.compress(full, candidates).tolist(), central.mu_yz.tolist(),
+            central.mu_xx.tolist(), concurrence(central).tolist(),
+            concurrence(cons).tolist(), clamped.tolist()))
+    passes = np.zeros(len(candidates), dtype=bool)
+    passes[full] = [row.eof_conservative > 0.0 for row in rows]
+    run = int(np.cumprod(passes).sum())
+    return LEBoundTable(rows, candidates[run - 1] if run else 0, z)
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,8 @@ class CorrelatorEstimate:
     def stderr(self) -> float:
         if self.match_count == 0:
             return math.inf
-        return math.sqrt(max(0.0, 1.0 - self.mean ** 2) / self.match_count)
+        mean = self.mean
+        return math.sqrt(max(0.0, 1.0 - mean * mean) / self.match_count)
 
 
 class _Accumulator:

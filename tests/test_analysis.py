@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csmg.analysis import (
     ErrorModelFit,
@@ -72,6 +73,10 @@ def test_moments_reject_non_finite():
         for args in ((bad, 0.5, 0.5), (0.5, bad, 0.5), (0.5, 0.5, bad)):
             with pytest.raises(ValueError, match="finite"):
                 TwoQubitMoments(*args)
+    ok = np.full(3, 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu_xx must be finite"):
+            TwoQubitMoments(ok, ok, np.array([0.5, bad, 0.5]))
 
 def test_concurrence_examples():
     assert concurrence(TwoQubitMoments(1, 1, 1)) == pytest.approx(1.0)
@@ -84,17 +89,25 @@ def test_concurrence_examples():
 
 def test_concurrence_matches_spin_flip_oracle():
     rng = np.random.default_rng(42)
-    for a, b, c in _physical_triples(rng, 1000):
-        ours = concurrence(TwoQubitMoments(a, b, c))
+    triples = _physical_triples(rng, 1000)
+    scalar = []
+    for a, b, c in triples:
+        scalar.append(concurrence(TwoQubitMoments(a, b, c)))
         dense = wootters_concurrence(rho_from_moments(a, b, c))
-        assert abs(ours - dense) < 1e-10
+        assert abs(scalar[-1] - dense) < 1e-10
+    # one array call gives the scalar calls' values bit for bit
+    ours = concurrence(TwoQubitMoments(*np.array(triples).T))
+    assert ours.tolist() == scalar
 
 
 def test_moment_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mu_yz must lie in \[-1, 1\]"):
         TwoQubitMoments(1.5, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mu_zy must lie in \[-1, 1\]"):
         TwoQubitMoments(0, -1.2, 0)
+    zeros = np.zeros(3)
+    with pytest.raises(ValueError, match=r"mu_yz must lie in \[-1, 1\]"):
+        TwoQubitMoments(np.array([0.0, 1.5, 0.0]), zeros, zeros)
 
 
 def test_unphysical_spectrum_is_clamped_not_rejected():
@@ -230,6 +243,56 @@ def test_direct_bounds_selects_largest_positive_l():
     # one family alone bounds nothing
     gamma1 = direct_bounds([e for e in ests if e.family == "Gamma1"])
     assert (gamma1.rows, gamma1.xi_e) == ((), 0)
+
+
+@st.composite
+def _estimate_tables(draw):
+    """Cells at some l of the l <= 50 grid: counts from 0 to 10^9, small
+    unanimous cells, and a family missing at some l."""
+    ests = []
+    for l in draw(st.lists(st.sampled_from(certifiable_lengths(50)),
+                           unique=True, max_size=8)):
+        for family in ("Gamma1", "Gamma2"):
+            kind = draw(st.sampled_from(("missing", "unanimous", "counts")))
+            if kind == "unanimous":
+                count = draw(st.integers(0, 5))
+                ests.append(_estimate(family, l, count,
+                                      draw(st.sampled_from((count, -count)))))
+            elif kind == "counts":
+                count = draw(st.integers(0, 10**9))
+                ests.append(_estimate(family, l, count,
+                                      count - 2 * draw(st.integers(0, count))))
+    return ests
+
+
+@settings(max_examples=300, deadline=None)
+@given(_estimate_tables(), st.floats(0.0, 6.0))
+def test_direct_bounds_rows_are_per_l_and_xi_is_the_leading_run(ests, z):
+    table = direct_bounds(ests, z=z)
+    ls = sorted({e.l for e in ests})
+    # a row depends on its own l's cells alone
+    assert table.rows == tuple(
+        row for l in ls
+        for row in direct_bounds([e for e in ests if e.l == l], z=z).rows)
+    # xi is the last l of the leading run of passes; an l without a row
+    # (a family missing or unmatched) ends the run
+    passed = {row.l for row in table.rows if row.eof_conservative > 0.0}
+    xi = 0
+    for l in ls:
+        if l not in passed:
+            break
+        xi = l
+    assert table.xi_e == xi
+    for row in table.rows:
+        if not row.clamped:
+            m1, m2 = row.mu_gamma1, row.mu_gamma2
+            rho = rho_from_moments(m1, m1, m2)
+            dense = entropy_of_entanglement(wootters_concurrence(rho))
+            # the oracle takes square roots of the spectrum of rho times its
+            # spin flip, so where rho is rank-deficient it carries rounding
+            # of about sqrt(eps): 9.2e-9 in the EoF at (1, 1, 1)
+            tol = 1e-9 if np.linalg.eigvalsh(rho).min() > 1e-6 else 1e-7
+            assert abs(row.eof_central - dense) < tol, (m1, m2)
 
 
 # ---------------------------------------------------------------------------

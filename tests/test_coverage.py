@@ -9,6 +9,7 @@ scan modes, so the independence the bound assumes stays measured for
 overlapping (all) and disjoint (greedy) windows.  All runs are seeded,
 so the counts are deterministic.
 """
+import numpy as np
 import pytest
 
 from csmg.analysis import (TwoQubitMoments, concurrence, direct_bounds,
@@ -23,14 +24,13 @@ TEMPLATES = RunConfig(l_max=50).templates()
 
 
 def _exact_xi(p_sigma, p_zz):
-    def mean(family, l):
-        return predicted_template_mean(family, l, p_sigma, p_zz)
-
-    return max((l for l in certifiable_lengths(50)
-                if eof_from_concurrence(concurrence(TwoQubitMoments(
-                    mean("Gamma1", l), mean("Gamma1", l),
-                    mean("Gamma2", l)))) > 0.0),
-               default=0)
+    ls = certifiable_lengths(50)
+    gamma1, gamma2 = (
+        np.array([predicted_template_mean(family, l, p_sigma, p_zz)
+                  for l in ls]) for family in ("Gamma1", "Gamma2"))
+    c = concurrence(TwoQubitMoments(gamma1, gamma1, gamma2))
+    return max((l for l, c_l in zip(ls, c.tolist())
+                if eof_from_concurrence(c_l) > 0.0), default=0)
 
 
 @pytest.mark.parametrize("n_photons, p_d, p_sigma, p_zz, truth", [

@@ -427,6 +427,10 @@ def test_estimate_mean_and_stderr():
                              signed_sum=200, overlap_fraction=0.0)
     assert est.mean == 0.5
     assert est.stderr == pytest.approx(((1 - 0.25) / 400) ** 0.5)
+    # the mean is squared as mean * mean, a correctly rounded product that
+    # numpy repeats bit for bit: this is sqrt(592/68921) correctly rounded
+    est = CorrelatorEstimate("Gamma1", 2, 41, 33, 0.0)
+    assert est.stderr == 0.09267979580797357
 
 
 def test_estimate_id_is_read_from_family_and_l():
