@@ -93,7 +93,6 @@ def _add_template_flags(p: argparse.ArgumentParser) -> None:
                         "(Gamma1, Gamma2)")
     p.add_argument("--mode", dest="mode", choices=MODES,
                    help="count every match or non-overlapping only")
-    p.add_argument("--stride", dest="stride", help="window start spacing")
     p.add_argument("--threads", dest="threads", help="scan worker threads")
 
 
@@ -131,8 +130,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ConfigError("no output path: pass --out or set estimates_path")
     templates = cfg.templates()
     record = open_record(record_path)
-    estimates = scan(record, templates, mode=cfg.mode, stride=cfg.stride,
-                     threads=cfg.threads)
+    estimates = scan(record, templates, mode=cfg.mode, threads=cfg.threads)
     write_estimates_csv(out, estimates)
     for est in estimates:
         print(f"{est.template_id}: {est.match_count} matches, "

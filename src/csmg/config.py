@@ -63,7 +63,6 @@ class RunConfig(ExperimentConfig):
     l_max: int = 11
     l_values: Optional[Tuple[int, ...]] = None
     mode: str = "all"
-    stride: int = 1
     threads: int = 1
     record_path: Optional[str] = None
     estimates_path: Optional[str] = None
@@ -81,7 +80,7 @@ class RunConfig(ExperimentConfig):
                 raise ValueError("families must name at least one template family")
             if not self.separations():
                 raise ValueError("no valid separations selected")
-            check_scan(self.mode, self.stride, self.threads)
+            check_scan(self.mode, self.threads)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

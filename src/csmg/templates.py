@@ -99,15 +99,13 @@ def _checked(family: str, l: int) -> str:
     return family
 
 
-def check_scan(mode: str, stride: int, threads: int,
-               chunk_size: int = 1) -> None:
-    """The scan settings' rules: a mode in MODES, and stride, threads and
+def check_scan(mode: str, threads: int, chunk_size: int = 1) -> None:
+    """The scan settings' rules: a mode in MODES, and threads and
     chunk_size integers >= 1."""
     if mode not in MODES:
         raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, "
                          f"got {mode!r}")
-    for name, value in (("stride", stride), ("threads", threads),
-                        ("chunk_size", chunk_size)):
+    for name, value in (("threads", threads), ("chunk_size", chunk_size)):
         if as_int(name, value) < 1:
             raise ValueError(f"{name} must be >= 1")
 
@@ -229,8 +227,11 @@ def verify_template_algebra(template: Template) -> None:
 def verify_template_stream(template: Template, *, windows: int = 256) -> None:
     """Check the template on a simulated noiseless forced-basis stream.
 
-    Every aligned window must match and every match must come out +1.
+    The stream repeats the template's basis schedule ``windows`` times.
+    Scanned in all mode, the template must match exactly ``windows``
+    times, and every match must come out +1.
     """
+    windows = as_int("windows", windows)
     if windows < 1:
         raise ValueError("windows must be >= 1")
     from .stream import ExperimentConfig, simulate
@@ -242,11 +243,11 @@ def verify_template_stream(template: Template, *, windows: int = 256) -> None:
     cfg = ExperimentConfig(n_photons=template.span * windows, seed=2026,
                            p_d=1.0, burn_in=0)
     record = simulate(cfg, forced_bases=forced)
-    est = scan(record, [template], mode="all", stride=template.span)[0]
+    est = scan(record, [template])[0]
     if est.match_count != windows:
         raise TemplateVerificationError(
-            f"{template.id}: matched {est.match_count} of {windows} "
-            f"aligned windows on a forced-basis stream")
+            f"{template.id}: matched {est.match_count} windows, expected "
+            f"{windows}, on a forced-basis stream")
     if est.signed_sum != windows:
         raise TemplateVerificationError(
             f"{template.id}: noiseless stream gave signed sum "
@@ -258,8 +259,9 @@ def verify_template(template: Template, *, windows: int = 256) -> None:
 
     Algebraic half: the generator product must have phase +1 and exactly
     the template's slot letters.  Simulated half: a noiseless lossless
-    stream detected in the template's own basis schedule must match at
-    every aligned window, and every match must come out +1.
+    stream detected in the template's own basis schedule, ``windows``
+    copies of it, must match exactly ``windows`` times in all mode, and
+    every match must come out +1.
     """
     verify_template_algebra(template)
     verify_template_stream(template, windows=windows)
@@ -439,8 +441,7 @@ def _trie(templates: Sequence[Template]) -> _TrieNode:
 
 def _scan_range(record: ClickRecord | RecordFile,
                 templates: Sequence[Template], root: _TrieNode, o_lo: int,
-                o_hi: int, anchor: int, stride: int, mode: str,
-                chunk_size: int) -> List[_Accumulator]:
+                o_hi: int, mode: str, chunk_size: int) -> List[_Accumulator]:
     """Walk the trie over window starts [o_lo, o_hi), block by block.
 
     Each block's bytes, with the halo of span - 1 that its last windows
@@ -567,8 +568,6 @@ def _scan_range(record: ClickRecord | RecordFile,
                     idx = np.flatnonzero(cur[:limit])
                 else:
                     idx = cur[:np.searchsorted(cur, limit)]
-                if stride > 1:
-                    idx = idx[(idx + (s0 - anchor)) % stride == 0]
                 if idx.shape[0] == 0:
                     continue
                 # the low bit of the XOR of the bytes is the XOR of their
@@ -587,17 +586,14 @@ def _scan_range(record: ClickRecord | RecordFile,
 
 
 def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
-         mode: str = "all", stride: int = 1,
-         chunk_size: int = _DEFAULT_CHUNK,
+         mode: str = "all", chunk_size: int = _DEFAULT_CHUNK,
          threads: int = 1) -> List[CorrelatorEstimate]:
     """Slide every template over the record and tally matched windows.
 
     ``mode="all"`` counts every match (default); ``mode="greedy"`` keeps
     only matches that do not overlap a previously kept one, giving
     independent samples at the cost of statistics.  Window starts begin
-    at the record's burn_in, and ``stride`` restricts them to burn_in,
-    burn_in + stride, ...; a stride of any size is taken, and one at
-    least as long as the run of window starts selects burn_in alone.
+    at the record's burn_in.
 
     All templates are matched in one pass over the record, ``chunk_size``
     window starts at a time, each block copied out by ``record.read``:
@@ -621,26 +617,23 @@ def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
     signed sums and overlap fractions are bit-identical for any ``chunk_size``
     and ``threads``.
     """
-    check_scan(mode, stride, threads, chunk_size)
-    anchor = record.burn_in
+    check_scan(mode, threads, chunk_size)
+    o_lo = record.burn_in
     templates = list(templates)
     if not templates:
         return []
     spans = [t.span for t in templates]
     o_hi = len(record) - min(spans) + 1
-    if o_hi <= anchor:
-        return [_estimate_from(t, _Accumulator(anchor)) for t in templates]
-    # every stride of at least o_hi - anchor selects the burn-in start
-    # alone; capped, the int64 modulus in _scan_range cannot overflow
-    stride = min(stride, o_hi - anchor)
+    if o_hi <= o_lo:
+        return [_estimate_from(t, _Accumulator(o_lo)) for t in templates]
     root = _trie(templates)
     threads = 1 if mode == "greedy" else min(threads, os.cpu_count() or 1)
-    bounds = np.linspace(anchor, o_hi, threads + 1).astype(np.int64)
+    bounds = np.linspace(o_lo, o_hi, threads + 1).astype(np.int64)
     ranges = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if b > a]
 
     def run(o_range: Tuple[int, int]) -> List[_Accumulator]:
-        return _scan_range(record, templates, root, *o_range, anchor,
-                           stride, mode, chunk_size)
+        return _scan_range(record, templates, root, *o_range, mode,
+                           chunk_size)
 
     if len(ranges) == 1:
         parts = [run(ranges[0])]

@@ -89,28 +89,39 @@ def rho_from_moments(mu_yz: float, mu_zy: float, mu_xx: float) -> np.ndarray:
             + mu_zy * np.kron(_Z, _Y) + mu_xx * np.kron(_X, _X)) / 4.0
 
 
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian matrix, negative eigenvalues clipped."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def wootters_concurrence(rho: np.ndarray) -> float:
-    """Spin-flip concurrence of an arbitrary two-qubit density matrix."""
+    """Spin-flip concurrence of an arbitrary two-qubit density matrix.
+
+    The square roots of the eigenvalues of rho times its spin flip are the
+    singular values of sqrt(rho) sqrt(flip): taken that way, a
+    rank-deficient rho loses no digits to a square root of a rounded
+    eigenvalue near zero.
+    """
     yy = np.kron(_Y, _Y)
-    r = rho @ yy @ rho.conj() @ yy
-    eigs = np.linalg.eigvals(r).real
-    eigs = np.sqrt(np.clip(eigs, 0.0, None))
-    eigs.sort()
-    return max(0.0, eigs[-1] - eigs[-2] - eigs[-3] - eigs[-4])
+    flip = yy @ rho.conj() @ yy
+    s = np.linalg.svd(_psd_sqrt(rho) @ _psd_sqrt(flip), compute_uv=False)
+    return max(0.0, s[0] - s[1] - s[2] - s[3])
 
 
 def entropy_of_entanglement(c: float) -> float:
     """Binary-entropy formula for entanglement of formation, in bits."""
     if c <= 0.0:
         return 0.0
-    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    # a concurrence rounded just past 1 is 1
+    x = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
     if x <= 0.0 or x >= 1.0:
         return 0.0
     return float(-x * np.log2(x) - (1 - x) * np.log2(1 - x))
 
 
 def reference_scan(events: Sequence[int], template: Template, *,
-                   mode: str = "all", stride: int = 1,
+                   mode: str = "all",
                    burn_in: int = 0) -> Tuple[int, int, List[int]]:
     """Slow direct scanner: (match_count, signed_sum, offsets)."""
     required = dict(template.required)
@@ -119,8 +130,6 @@ def reference_scan(events: Sequence[int], template: Template, *,
     signed = 0
     blocked_until = -1
     for o in range(burn_in, len(events) - span + 1):
-        if (o - burn_in) % stride != 0:
-            continue
         if mode == "greedy" and o < blocked_until:
             continue
         product = 1

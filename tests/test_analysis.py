@@ -288,11 +288,7 @@ def test_direct_bounds_rows_are_per_l_and_xi_is_the_leading_run(ests, z):
             m1, m2 = row.mu_gamma1, row.mu_gamma2
             rho = rho_from_moments(m1, m1, m2)
             dense = entropy_of_entanglement(wootters_concurrence(rho))
-            # the oracle takes square roots of the spectrum of rho times its
-            # spin flip, so where rho is rank-deficient it carries rounding
-            # of about sqrt(eps): 9.2e-9 in the EoF at (1, 1, 1)
-            tol = 1e-9 if np.linalg.eigvalsh(rho).min() > 1e-6 else 1e-7
-            assert abs(row.eof_central - dense) < tol, (m1, m2)
+            assert abs(row.eof_central - dense) < 1e-9, (m1, m2)
 
 
 # ---------------------------------------------------------------------------

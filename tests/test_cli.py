@@ -31,7 +31,7 @@ from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import (CorrelatorEstimate, make_template, scan,
                             slot_counts, verify_template_stream)
 
-from helpers import cpus, events_from_text
+from helpers import cpus
 
 
 def _read_csv(path):
@@ -46,8 +46,7 @@ def _read_csv(path):
 def test_parse_config_roundtrip():
     cfg = RunConfig(n_photons=5000, seed=9, p_d=0.4, q_x=0.2, q_y=0.5,
                     q_z=0.3, p_sigma=0.001, p_zz=0.002, burn_in=50,
-                    l_max=8, families=("Gamma1",), mode="greedy", stride=3,
-                    threads=2)
+                    l_max=8, families=("Gamma1",), mode="greedy", threads=2)
     text = format_config(cfg)
     back = parse_config(text)
     assert back == cfg
@@ -78,7 +77,7 @@ def _run_configs(draw):
         l_values=draw(st.one_of(st.none(), st.lists(_l_grid, min_size=1,
                                                     max_size=5).map(tuple))),
         mode=draw(st.sampled_from(["all", "greedy"])),
-        stride=draw(st.integers(1, 64)), threads=draw(st.integers(1, 64)),
+        threads=draw(st.integers(1, 64)),
         record_path=draw(_text), estimates_path=draw(_text))
 
 
@@ -114,7 +113,7 @@ def _field_flags(subparser):
 
 
 _SOURCE_FIELDS = {f.name for f in fields(ExperimentConfig)}
-_SCAN_FIELDS = {"families", "l_max", "l_values", "mode", "stride", "threads"}
+_SCAN_FIELDS = {"families", "l_max", "l_values", "mode", "threads"}
 
 
 def test_flag_dests_name_the_fields_each_subcommand_sets():
@@ -163,7 +162,7 @@ def test_field_flags_keep_their_text_for_the_config_reader():
 
 @pytest.mark.parametrize("command, flag, key, text, kind", [
     ("simulate", "--photons", "n_photons", "abc", "an integer"),
-    ("scan", "--stride", "stride", "1.5", "an integer"),
+    ("scan", "--lmax", "l_max", "1.5", "an integer"),
     ("simulate", "--pd", "p_d", "x", "a number"),
     ("scan", "--threads", "threads", "two", "an integer"),
 ])
@@ -221,6 +220,32 @@ def test_scan_comma_list_flags(tmp_path, flags, code, capsys):
 def test_report_dir_is_an_unknown_key():
     with pytest.raises(ConfigError, match="unknown key 'report_dir'"):
         parse_config("report_dir = reports\n")
+
+
+def test_scan_has_no_stride_flag(tmp_path, capsys):
+    # a scan's window starts are set by its mode alone
+    rec_path = tmp_path / "r.csmg"
+    assert run(["simulate", "--photons", "2000", "--out", str(rec_path)]) == 0
+    out = tmp_path / "e.csv"
+    with pytest.raises(SystemExit) as err:
+        run(["scan", str(rec_path), "--l-values", "2", "--stride", "2",
+             "--out", str(out)])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --stride 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stride_is_an_unknown_key(tmp_path, capsys):
+    rec_path = tmp_path / "r.csmg"
+    assert run(["simulate", "--photons", "2000", "--out", str(rec_path)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\nstride = 2\n")
+    out = tmp_path / "e.csv"
+    capsys.readouterr()
+    assert run(["scan", str(rec_path), "--config", str(cfg),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 2: unknown key 'stride'\n"
+    assert not out.exists()
 
 
 def test_config_file_io(tmp_path):
@@ -319,10 +344,6 @@ _RULE_ENTRY_POINTS = {
                   lambda: CorrelatorEstimate("Gamma1", 5.0, 4, 2, 0.0)],
     "mode": [lambda: _scan_short_record(mode="eager"),
              lambda: RunConfig(mode="eager")],
-    "stride": [lambda: _scan_short_record(stride=0),
-               lambda: RunConfig(stride=0)],
-    "stride integer": [lambda: _scan_short_record(stride=1.5),
-                       lambda: RunConfig(stride=1.5)],
     "threads": [lambda: _scan_short_record(threads=0),
                 lambda: RunConfig(threads=0)],
     "threads integer": [lambda: _scan_short_record(threads=2.0),
@@ -535,22 +556,6 @@ def test_simulate_rejects_a_burn_in_past_the_header(tmp_path, capsys):
                 str(2 ** 64), "--out", str(out)]) == 2
     assert "burn_in" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_scan_takes_a_stride_past_int64(tmp_path):
-    # the stride used to reach an int64 modulus and raise OverflowError
-    rec_path = tmp_path / "r.csmg"
-    events = np.frombuffer(events_from_text("Z+ Y+ Y+ Z+ " * 50), np.uint8)
-    write_record(rec_path, ClickRecord(events=events.copy(), burn_in=100))
-    texts = []
-    for stride in (100, 2 ** 63 - 1, 2 ** 63, 10 ** 29):
-        out = tmp_path / f"e{stride}.csv"
-        assert run(["scan", str(rec_path), "--l-values", "2", "--stride",
-                    str(stride), "--out", str(out)]) == 0
-        texts.append(out.read_text())
-    assert _read_csv(tmp_path / "e100.csv")[1][:4] == ["Gamma1(l=2)", "2",
-                                                       "1", "1"]
-    assert texts[1:] == texts[:1] * 3
 
 
 def test_simulate_dark_detector(tmp_path):

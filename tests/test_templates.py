@@ -1,6 +1,7 @@
 """Template construction, verification, and the window scanner."""
 import dataclasses
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -178,6 +179,17 @@ def test_verify_template_accepts_grid():
         verify_template(make_template("Gamma2", l))
 
 
+def test_verify_windows_must_be_an_integer():
+    # the integer rule every count follows: a float would reach np.tile,
+    # and True would run one window
+    t = make_template("Gamma1", 2)
+    for windows in (2.5, np.float64(3.0), True):
+        message = f"windows must be an integer, got {repr(windows)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_template(t, windows=windows)
+    verify_template(t, windows=np.int64(3))
+
+
 def test_verify_rejects_corrupted_slots():
     t = make_template("Gamma1", 2)
     bad = Template(family=t.family, l=t.l,
@@ -294,19 +306,6 @@ def test_scan_burn_in_skips_leading_photons():
     assert est0.match_count == est.match_count + 1
 
 
-def test_scan_stride_anchored_at_burn_in():
-    events = events_from_text("Z+ Y+ Y+ Z+ " * 6)
-    t = make_template("Gamma1", 2)
-    for burn_in in (0, 1, 2):
-        for stride in (1, 2, 3, 4, 5):
-            est = scan(_record(events, burn_in=burn_in), [t],
-                       stride=stride)[0]
-            count, signed, _ = reference_scan(
-                np.frombuffer(events, np.uint8), t,
-                stride=stride, burn_in=burn_in)
-            assert (est.match_count, est.signed_sum) == (count, signed)
-
-
 def test_scan_matches_reference_on_random_records():
     rng = np.random.default_rng(31)
     valid = np.array([0x00, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07],
@@ -319,12 +318,11 @@ def test_scan_matches_reference_on_random_records():
         events = rng.choice(valid, size=400, p=weights)
         burn_in = int(rng.integers(0, 3))
         rec = _record(events.tobytes(), burn_in=burn_in)
-        stride = int(rng.integers(1, 4))
         for t in templates:
             for mode in ("all", "greedy"):
-                est = scan(rec, [t], mode=mode, stride=stride)[0]
+                est = scan(rec, [t], mode=mode)[0]
                 count, signed, offsets = reference_scan(
-                    events, t, mode=mode, stride=stride, burn_in=burn_in)
+                    events, t, mode=mode, burn_in=burn_in)
                 assert est.match_count == count
                 assert est.signed_sum == signed
 
@@ -405,9 +403,11 @@ def test_scan_unknown_mode_rejected():
 
 
 def test_match_rate_follows_instance_probability():
-    # stride = span makes the scanned windows disjoint, and the
-    # (detected, basis) draws are iid per photon, so the match count is
-    # an exact binomial
+    # span - 1 lost photons after each span-long block of the record
+    # leave only the block-aligned windows matchable, since both families
+    # require their first and last slots; those windows are disjoint, and
+    # the (detected, basis) draws are iid per photon, so the match count
+    # is an exact binomial
     n = 10 ** 6
     q = (0.2, 0.5, 0.3)
     cfg = ExperimentConfig(n_photons=n, seed=9, p_d=0.7, q_x=q[0], q_y=q[1],
@@ -415,9 +415,12 @@ def test_match_rate_follows_instance_probability():
     rec = simulate(cfg)
     for fam in ("Gamma1", "Gamma2"):
         t = make_template(fam, 2)
-        est = scan(rec, [t], stride=t.span)[0]
+        n_windows = n // t.span
+        padded = np.full((n_windows, 2 * t.span - 1), EVENT_LOST, np.uint8)
+        padded[:, :t.span] = rec.events[:n_windows * t.span].reshape(
+            n_windows, t.span)
+        est = scan(ClickRecord(padded.ravel()), [t])[0]
         p = instance_probability(fam, 2, 0.7, *q)
-        n_windows = (n - t.span) // t.span + 1
         sd = (n_windows * p * (1 - p)) ** 0.5
         assert abs(est.match_count - n_windows * p) < 5 * sd, fam
 
@@ -493,21 +496,6 @@ def test_scan_takes_only_an_integer_chunk_size(value):
         scan(rec, [make_template("Gamma1", 2)], chunk_size=0)
     assert scan(rec, [make_template("Gamma1", 2)],
                 chunk_size=np.int64(7))[0].match_count == 50
-
-
-@pytest.mark.parametrize("burn_in", [0, 3])
-def test_scan_takes_a_stride_past_int64(burn_in):
-    # (idx + offset) % stride runs in int64; a stride at least as long as
-    # the run of window starts selects the burn-in start alone
-    rec = _record(events_from_text("Z+ Y+ Y+ Z+ " * 50), burn_in=burn_in)
-    templates = [make_template("Gamma1", 2), make_template("Gamma2", 2)]
-    want = scan(rec, templates, stride=len(rec))
-    assert want[0].match_count == (burn_in % 4 == 0)
-    for stride in (2 ** 63 - 1, 2 ** 63, 10 ** 29):
-        for threads in (1, 2):
-            with cpus(threads):
-                assert scan(rec, templates, stride=stride,
-                            threads=threads) == want
 
 
 def test_scan_shares_template_prefixes():
@@ -587,9 +575,9 @@ _VALID_BYTES = np.array([0x00, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07],
                         dtype=np.uint8)
 
 
-def _reference_estimate(events, template, mode, stride, burn_in):
+def _reference_estimate(events, template, mode, burn_in):
     count, signed, offsets = reference_scan(events, template, mode=mode,
-                                            stride=stride, burn_in=burn_in)
+                                            burn_in=burn_in)
     overlaps = sum(1 for a, b in zip(offsets, offsets[1:])
                    if b - a < template.span)
     return count, signed, overlaps / count if count else 0.0
@@ -618,7 +606,6 @@ def _scan_calls(draw, templates):
                           draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
     kwargs = dict(
         mode=draw(st.sampled_from(["all", "greedy"])),
-        stride=draw(st.integers(1, 4)),
         burn_in=draw(st.integers(0, 12)),
         chunk_size=draw(st.one_of(
             st.just(1), st.integers(1, 20).map(lambda k: 2 * k + 1),
@@ -652,7 +639,7 @@ def _check_against_reference(case):
     assert len(got) == len(templates)
     for est, t in zip(got, templates):
         want = _reference_estimate(events, t, kwargs["mode"],
-                                   kwargs["stride"], kwargs["burn_in"])
+                                   kwargs["burn_in"])
         assert (est.match_count, est.signed_sum,
                 est.overlap_fraction) == want, t
 
@@ -670,7 +657,7 @@ def test_scan_matches_reference_at_the_default_block_width():
     for mode in ("all", "greedy"):
         for threads in (1, 2):
             _check_against_reference((events, templates, dict(
-                mode=mode, stride=1, burn_in=0, threads=threads)))
+                mode=mode, burn_in=0, threads=threads)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -832,7 +819,6 @@ def _planted_calls(draw):
     events = np.concatenate(pieces)
     kwargs = dict(
         mode=draw(st.sampled_from(["all", "greedy"])),
-        stride=draw(st.integers(1, 4)),
         burn_in=draw(st.integers(0, 12)),
         chunk_size=draw(st.integers(0, 60).map(lambda k: 2 * k + 1)),
         threads=draw(st.sampled_from([1, 2, 3])))
@@ -868,8 +854,7 @@ def test_greedy_carry_crosses_blocks_whose_subtree_was_ended(chunk_size):
         assert reference_scan(events, long, mode=mode)[2] == list(starts)
         _check_against_reference((
             events, [long, make_template("Gamma2", 5)],
-            dict(mode=mode, stride=1, burn_in=0, chunk_size=chunk_size,
-                 threads=1)))
+            dict(mode=mode, burn_in=0, chunk_size=chunk_size, threads=1)))
 
 
 @pytest.mark.parametrize("chunk_size", [3, 9, 25])
@@ -882,7 +867,7 @@ def test_dense_node_without_survivors_in_the_padded_last_block(chunk_size):
     for mode in ("all", "greedy"):
         for threads in (1, 2):
             _check_against_reference((events, templates, dict(
-                mode=mode, stride=1, burn_in=0, chunk_size=chunk_size,
+                mode=mode, burn_in=0, chunk_size=chunk_size,
                 threads=threads)))
     assert scan(ClickRecord(events), [long],
                 chunk_size=chunk_size)[0].match_count == 2
@@ -935,12 +920,11 @@ def test_scan_tallies_matches_per_batch_not_per_block(monkeypatch):
 # Greedy selection against a per-match loop.
 
 
-def _greedy_by_loop(events, template, stride, burn_in):
+def _greedy_by_loop(events, template, burn_in):
     """Greedy (count, signed sum), one kept match at a time: walk the
     all-mode matches and keep each that starts at or past the end of the
     last kept window."""
-    offsets = reference_scan(events, template, stride=stride,
-                             burn_in=burn_in)[2]
+    offsets = reference_scan(events, template, burn_in=burn_in)[2]
     positions = [p for p, _ in template.required]
     count = signed = 0
     free_from = burn_in
@@ -979,19 +963,18 @@ def _greedy_calls(draw):
     chunk_size = draw(st.one_of(
         st.just(1), st.integers(2, span - 1),
         st.integers(1, 1000).map(lambda k: 2 * k + 1)))
-    return (events, template, draw(st.integers(1, 4)),
-            draw(st.integers(0, 2 * span)), chunk_size)
+    return events, template, draw(st.integers(0, 2 * span)), chunk_size
 
 
 @settings(max_examples=120, deadline=None)
 @given(_greedy_calls())
 def test_greedy_matches_per_match_loop(case):
-    events, template, stride, burn_in, chunk_size = case
-    want = _greedy_by_loop(events, template, stride, burn_in)
+    events, template, burn_in, chunk_size = case
+    want = _greedy_by_loop(events, template, burn_in)
     # one block larger than the record holds the whole orbit
     for chunk in (chunk_size, events.shape[0] + 1):
         est = scan(ClickRecord(events, burn_in=burn_in), [template],
-                   mode="greedy", stride=stride, chunk_size=chunk)[0]
+                   mode="greedy", chunk_size=chunk)[0]
         assert (est.match_count, est.signed_sum) == want, chunk
         assert est.overlap_fraction == 0.0
 
