@@ -10,6 +10,7 @@ the passive template scheme against brute-force tomography.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -202,7 +203,9 @@ def _log_rates(p_sigma: float, p_zz: float) -> Tuple[float, float]:
 
 
 def _mu_asymptotic(l: float, alpha: float, beta: float) -> float:
-    return math.exp((2.0 * l + 8.0) / 3.0 * alpha + 2.0 * l / 3.0 * beta)
+    # (l + 4) / 1.5 is (2l + 8) / 3 to the bit, as doubling is exact, and
+    # stays finite for every finite l
+    return math.exp((l + 4.0) / 1.5 * alpha + l / 1.5 * beta)
 
 
 def predict_gamma(family: str, l: int, p_sigma: float,
@@ -371,9 +374,10 @@ def xi_from_rates(p_sigma: float, p_zz: float) -> XiEstimate:
         return XiEstimate(continuous=math.inf, grid=math.inf)
     continuous = _continuous_crossing(alpha, beta)
     if math.isinf(continuous):
-        # so is the grid point; the search would stop where 2.0 * l overflows
+        # so is the grid point, which no float l reaches
         return XiEstimate(continuous=math.inf, grid=math.inf)
-    grid = _last_on_grid(lambda l: _mu_asymptotic(l, alpha, beta) > _THIRD)
+    grid = _last_on_grid(lambda l: l <= sys.float_info.max
+                         and _mu_asymptotic(l, alpha, beta) > _THIRD)
     return XiEstimate(continuous=continuous, grid=float(grid))
 
 

@@ -34,11 +34,9 @@ from .analysis import (direct_bounds, fit_error_model, instance_probability,
 from .config import (ConfigError, RunConfig, override, parse_list,
                      parse_scalar, parse_value, read_config)
 from .recordio import RecordFormatError, open_record, record_writer
-from .reports import (default_pd_grid, default_pzz_grid, reach_rows,
-                      read_estimates_csv, tomography_rows, write_bounds_csv,
-                      write_estimates_csv, write_reach_csv,
-                      write_summary_json, write_tomography_csv,
-                      write_xi_curve_csv, xi_curve_rows)
+from .reports import (_write_csv, read_estimates_csv, report_tables,
+                      write_bounds_csv, write_estimates_csv,
+                      write_summary_json)
 from .stream import simulate
 from .templates import (FAMILIES, MODES, TemplateVerificationError, scan,
                         verify_template)
@@ -204,18 +202,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError("psigmas must name at least one rate")
     budget = parse_scalar("budget", float, args.budget)
     min_expected = parse_scalar("min_expected", float, args.min_expected)
-    p_ds = default_pd_grid()
-    tomo_rows = tomography_rows(p_ds, budget)
-    reach_table = reach_rows(p_ds, budget, min_expected=min_expected)
-    xi_rows = xi_curve_rows(default_pzz_grid(), p_sigmas)
+    tables = report_tables(budget, min_expected, p_sigmas)
     os.makedirs(args.out_dir, exist_ok=True)
-    tomo = os.path.join(args.out_dir, "tomography_baseline.csv")
-    write_tomography_csv(tomo, tomo_rows)
-    reach = os.path.join(args.out_dir, "direct_reach.csv")
-    write_reach_csv(reach, reach_table)
-    xi = os.path.join(args.out_dir, "xi_curve.csv")
-    write_xi_curve_csv(xi, xi_rows)
-    for path in (tomo, reach, xi):
+    for name, columns, rows in tables:
+        path = os.path.join(args.out_dir, name)
+        _write_csv(path, columns, rows)
         print(f"wrote {path}")
     return 0
 

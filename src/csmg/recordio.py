@@ -113,7 +113,9 @@ class ClickRecord:
     ``burn_in`` photons were produced while the source settles and are
     always skipped during scanning.  ``burn_in`` is an integer in
     [0, MAX_BURN_IN], so every record fits the file header.  Values that
-    a uint8 cast would change are rejected, not wrapped into bytes.
+    a uint8 cast would change are rejected, not wrapped into bytes, and so
+    is any byte that ``validate_events`` refuses in a record file, with
+    the message that ``write_record`` gives for it.
     """
 
     events: np.ndarray
@@ -131,6 +133,7 @@ class ClickRecord:
                                  "that it changes")
         if np.ndim(events) != 1:  # one byte per photon, never reshaped
             raise ValueError(f"events must be 1-D, got {np.ndim(events)}-D")
+        validate_events(events)
         object.__setattr__(self, "events", np.ascontiguousarray(events))
         object.__setattr__(self, "burn_in", check_burn_in(self.burn_in))
 

@@ -7,6 +7,11 @@ Column orders are part of the tool's external contract:
 - tomography: p_d,K
 - reach:      p_d,l_max_gamma1,l_max_gamma2
 - xi curve:   p_sigma,p_zz,xi_continuous,xi_grid
+
+The last three are ``csmg report``'s tables.  ``report_tables`` is their
+one builder: it gives each table's file name, columns and rows, over the
+p_d grid ``PD_GRID`` and the p_zz grid ``PZZ_GRID``.  Every CSV file,
+these and the first two, is written by ``_write_csv``.
 """
 from __future__ import annotations
 
@@ -25,9 +30,6 @@ ESTIMATE_COLUMNS = ("template", "l", "n_matches", "signed_sum", "mean",
                     "stderr", "overlap_fraction")
 BOUND_COLUMNS = ("l", "mu_gamma1", "mu_gamma2", "eof_central",
                  "eof_conservative", "clamped", "method")
-TOMOGRAPHY_COLUMNS = ("p_d", "K")
-REACH_COLUMNS = ("p_d", "l_max_gamma1", "l_max_gamma2")
-XI_CURVE_COLUMNS = ("p_sigma", "p_zz", "xi_continuous", "xi_grid")
 
 
 def _write_csv(path: str, columns: Sequence[str],
@@ -85,24 +87,6 @@ def write_bounds_csv(path: str, table: LEBoundTable) -> None:
                 for row in table.rows))
 
 
-def fit_to_dict(fit: ErrorModelFit) -> dict:
-    return {
-        "p_sigma": fit.p_sigma,
-        "p_zz": fit.p_zz,
-        "stderr_p_sigma": fit.stderr_p_sigma,
-        "stderr_p_zz": fit.stderr_p_zz,
-        "covariance": np.asarray(fit.covariance).tolist(),
-        "alpha": fit.alpha,
-        "beta": fit.beta,
-        "cov_alpha_beta": np.asarray(fit.cov_alpha_beta).tolist(),
-        "chi2": fit.chi2,
-        "dof": fit.dof,
-        "chi2_per_dof": fit.chi2_per_dof,
-        "n_points": fit.n_points,
-        "dropped": list(fit.dropped),
-    }
-
-
 def write_summary_json(path: str, table: Optional[LEBoundTable] = None,
                        fit: Optional[ErrorModelFit] = None,
                        xi: Optional[XiEstimate] = None) -> None:
@@ -111,7 +95,21 @@ def write_summary_json(path: str, table: Optional[LEBoundTable] = None,
         payload["direct"] = {"xi_e": table.xi_e, "z": table.z,
                              "n_rows": len(table.rows)}
     if fit is not None:
-        payload["fit"] = fit_to_dict(fit)
+        payload["fit"] = {
+            "p_sigma": fit.p_sigma,
+            "p_zz": fit.p_zz,
+            "stderr_p_sigma": fit.stderr_p_sigma,
+            "stderr_p_zz": fit.stderr_p_zz,
+            "covariance": np.asarray(fit.covariance).tolist(),
+            "alpha": fit.alpha,
+            "beta": fit.beta,
+            "cov_alpha_beta": np.asarray(fit.cov_alpha_beta).tolist(),
+            "chi2": fit.chi2,
+            "dof": fit.dof,
+            "chi2_per_dof": fit.chi2_per_dof,
+            "n_points": fit.n_points,
+            "dropped": list(fit.dropped),
+        }
     if xi is not None:
         payload["xi_indirect"] = asdict(xi)
     with open(path, "w", encoding="utf-8") as fh:
@@ -122,46 +120,30 @@ def write_summary_json(path: str, table: Optional[LEBoundTable] = None,
 # ---------------------------------------------------------------------------
 # Planner curves.
 
-def default_pd_grid() -> List[float]:
-    return [round(0.05 * i, 2) for i in range(1, 20)]
+PD_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
+PZZ_GRID = tuple(float(v) for v in np.geomspace(0.001, 0.2, 60))
 
 
-def default_pzz_grid() -> List[float]:
-    return [float(v) for v in np.geomspace(0.001, 0.2, 60)]
+def report_tables(budget: float, min_expected: float,
+                  p_sigmas: Iterable[float]
+                  ) -> List[Tuple[str, Tuple[str, ...], list]]:
+    """``csmg report``'s tables, each (file name, columns, rows).
 
-
-def tomography_rows(p_ds: Iterable[float],
-                    n_budget: float) -> List[Tuple[float, int]]:
-    return [(p_d, naive_tomography_K(p_d, n_budget)) for p_d in p_ds]
-
-
-def write_tomography_csv(path: str, rows: Sequence[Tuple[float, int]]) -> None:
-    _write_csv(path, TOMOGRAPHY_COLUMNS, rows)
-
-
-def reach_rows(p_ds: Iterable[float], n_budget: float,
-               min_expected: float = 1.0) -> List[Tuple[float, int, int]]:
-    return [(p_d, *(max_direct_length(family, p_d, n_budget,
-                                      min_expected=min_expected)
-                    for family in FAMILIES))
-            for p_d in p_ds]
-
-
-def write_reach_csv(path: str, rows: Sequence[Tuple[float, int, int]]) -> None:
-    _write_csv(path, REACH_COLUMNS, rows)
-
-
-def xi_curve_rows(p_zzs: Iterable[float], p_sigmas: Iterable[float]
-                  ) -> List[Tuple[float, float, float, float]]:
-    rows = []
+    Every row is computed here, tomography first, then reach, then xi, so
+    a bad argument raises before any table is written.
+    """
+    tomography = [(p_d, naive_tomography_K(p_d, budget)) for p_d in PD_GRID]
+    reach = [(p_d, *(max_direct_length(family, p_d, budget,
+                                       min_expected=min_expected)
+                     for family in FAMILIES))
+             for p_d in PD_GRID]
+    xi = []
     for p_sigma in p_sigmas:
-        for p_zz in p_zzs:
-            xi = xi_from_rates(p_sigma, p_zz)
-            rows.append((p_sigma, p_zz, xi.continuous, xi.grid))
-    return rows
-
-
-def write_xi_curve_csv(path: str,
-                       rows: Sequence[Tuple[float, float, float, float]]
-                       ) -> None:
-    _write_csv(path, XI_CURVE_COLUMNS, rows)
+        for p_zz in PZZ_GRID:
+            est = xi_from_rates(p_sigma, p_zz)
+            xi.append((p_sigma, p_zz, est.continuous, est.grid))
+    return [("tomography_baseline.csv", ("p_d", "K"), tomography),
+            ("direct_reach.csv", ("p_d", "l_max_gamma1", "l_max_gamma2"),
+             reach),
+            ("xi_curve.csv", ("p_sigma", "p_zz", "xi_continuous", "xi_grid"),
+             xi)]

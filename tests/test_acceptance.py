@@ -23,14 +23,7 @@ from csmg.analysis import (
     xi_from_rates,
 )
 from csmg.recordio import open_record, write_record
-from csmg.reports import (
-    default_pd_grid,
-    default_pzz_grid,
-    reach_rows,
-    write_reach_csv,
-    write_xi_curve_csv,
-    xi_curve_rows,
-)
+from csmg.reports import PD_GRID, PZZ_GRID, _write_csv, report_tables
 from csmg.stream import ExperimentConfig, simulate
 from csmg.templates import certifiable_lengths, make_template, scan, verify_template
 
@@ -99,13 +92,14 @@ def test_criterion_3_direct_reach(tmp_path):
     assert 5 <= reach[0.1] <= 6
     assert abs(reach[0.5] - 20) <= 3
     assert abs(reach[0.9] - 80) <= 3
-    grid = default_pd_grid()
-    rows = reach_rows(grid, 1e10)
-    out = tmp_path / "direct_reach.csv"
-    write_reach_csv(out, rows)
-    assert out.exists()
+    grid = PD_GRID
+    name, columns, rows = report_tables(1e10, 1.0, (0.0,))[1]
+    out = tmp_path / name
+    _write_csv(out, columns, rows)
+    assert out.name == "direct_reach.csv" and out.exists()
     assert min(grid) <= 0.05 and max(grid) >= 0.95
     assert len(rows) == len(grid)
+    assert [row[0] for row in rows] == list(grid)
     _report("criterion 3",
             f"reach = {reach}, curve rows = {len(rows)} "
             f"over p_d in [{min(grid):.2f}, {max(grid):.2f}]")
@@ -237,10 +231,11 @@ def test_criterion_6_entanglement_length(recovery_fit, tmp_path):
     assert piped.stderr_continuous is not None
     assert gap < 3.0 * piped.stderr_continuous
 
-    rows = xi_curve_rows(default_pzz_grid(), (0.0, TRUE_P_SIGMA))
-    out = tmp_path / "xi_curve.csv"
-    write_xi_curve_csv(out, rows)
+    name, columns, rows = report_tables(1e10, 1.0, (0.0, TRUE_P_SIGMA))[2]
+    assert name == "xi_curve.csv"
+    _write_csv(tmp_path / name, columns, rows)
     zz_values = sorted({r[1] for r in rows})
+    assert zz_values == list(PZZ_GRID)
     assert zz_values[0] == pytest.approx(0.001)
     assert zz_values[-1] == pytest.approx(0.2)
     assert sorted({r[0] for r in rows}) == [0.0, TRUE_P_SIGMA]

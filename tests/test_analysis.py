@@ -555,6 +555,17 @@ def test_xi_past_the_largest_double_is_unbounded(p_sigma, p_zz):
     assert (est.continuous, est.grid) == (math.inf, math.inf)
 
 
+@pytest.mark.parametrize("p_zz", [8.5e-309, 5e-309])
+def test_xi_grid_reaches_a_crossing_past_8_99e307(p_zz):
+    # the grid used to stop at 8.99e307, where 2.0 * l overflows (0.927
+    # and 0.545 of the crossing); predict_gamma is not asked here, as a
+    # float l this large is not 2 (mod 3).  Both values are rounded, and
+    # at 5e-309 the grid reads one ulp above the crossing.
+    est = xi_from_rates(0.0, p_zz)
+    assert est.grid <= math.nextafter(est.continuous, math.inf)
+    assert est.grid / est.continuous > 1 - 1e-12
+
+
 def test_xi_decreases_with_noise():
     vals = [xi_from_rates(p, 0.005).continuous
             for p in (0.001, 0.002, 0.004, 0.008)]

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csmg.analysis import (direct_bounds, fit_error_model,
-                           instance_probability, predicted_template_mean)
+                           instance_probability, max_direct_length,
+                           naive_tomography_K, predicted_template_mean,
+                           xi_from_rates)
 from csmg.cli import _load_config, build_parser, run
 from csmg.config import (
     ConfigError,
@@ -360,7 +362,9 @@ _RULE_ENTRY_POINTS = {
                             lambda e=e: _read_estimates(e)]
        for name, e in _IMPOSSIBLE_ESTIMATES.items()},
     "record bytes": [lambda: RecordFile(_record_with_ff()),
-                     lambda: open_record(_record_with_ff())],
+                     lambda: open_record(_record_with_ff()),
+                     lambda: ClickRecord(np.where(np.arange(200) == 7, 0xFF,
+                                                  0x06).astype(np.uint8))],
     "repeated template": [
         lambda: RunConfig(families=("Gamma1", "Gamma1"),
                           l_values=(2,)).templates(),
@@ -845,6 +849,31 @@ def test_report_emits_planner_tables(tmp_path):
     assert xi[0] == ["p_sigma", "p_zz", "xi_continuous", "xi_grid"]
     sigmas = {row[0] for row in xi[1:]}
     assert len(sigmas) == 2
+
+
+@pytest.mark.parametrize("budget_flags, budget",
+                         [([], 1e10), (["--budget", "1e308"], 1e308)],
+                         ids=["default", "1e308"])
+def test_report_rows_are_the_planners_values(tmp_path, budget_flags, budget):
+    out_dir = tmp_path / "tables"
+    assert run(["report", "--out-dir", str(out_dir), *budget_flags]) == 0
+    p_ds = [round(0.05 * i, 2) for i in range(1, 20)]
+    tomo = _read_csv(out_dir / "tomography_baseline.csv")[1:]
+    assert [float(p_d) for p_d, _ in tomo] == p_ds
+    for p_d, k in tomo:
+        assert int(k) == naive_tomography_K(float(p_d), budget)
+    reach = _read_csv(out_dir / "direct_reach.csv")[1:]
+    assert [float(row[0]) for row in reach] == p_ds
+    for p_d, *ls in reach:
+        assert [int(l) for l in ls] == [
+            max_direct_length(family, float(p_d), budget)
+            for family in ("Gamma1", "Gamma2")]
+    xi = _read_csv(out_dir / "xi_curve.csv")[1:]
+    assert sorted({float(row[0]) for row in xi}) == [0.0, 0.002]
+    assert len(xi) == 2 * 60
+    for p_sigma, p_zz, continuous, grid in xi:
+        est = xi_from_rates(float(p_sigma), float(p_zz))
+        assert (float(continuous), float(grid)) == (est.continuous, est.grid)
 
 
 def test_report_psigmas_read_as_a_config_list(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Package-level guards: what importing csmg pulls in."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,3 +92,14 @@ def test_modules_import_only_what_they_use():
               for path in sorted(package.glob("*.py"))
               if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_readme_python_quick_start_runs():
+    # the one ```python block of README.md, run as a user would run it,
+    # so the documented API cannot drift from the code
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    _probe(blocks[0])  # check=True: a non-zero exit fails here

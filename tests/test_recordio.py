@@ -385,8 +385,12 @@ def test_failed_write_keeps_the_existing_file(tmp_path):
     path.write_bytes(b"an earlier record")
     events = np.full(3 * _PIECE, 0x06, dtype=np.uint8)
     events[2 * _PIECE + 5] = 0x01
+    # a ClickRecord refuses the byte when it is made, so the writer is
+    # given the pieces itself and fails after two of them are written
     with pytest.raises(RecordFormatError) as err:
-        write_record(path, ClickRecord(events=events, burn_in=0))
+        with record_writer(path, len(events), 0) as writer:
+            for piece in np.split(events, 3):
+                writer.write(piece)
     assert err.value.offset == HEADER_SIZE + 2 * _PIECE + 5
     assert path.read_bytes() == b"an earlier record"
     assert [p.name for p in tmp_path.iterdir()] == ["r.csmg"]
