@@ -33,11 +33,12 @@ from .analysis import (direct_bounds, fit_error_model, instance_probability,
                        splitter_settings, xi_e)
 from .config import (ConfigError, RunConfig, override, parse_list,
                      parse_scalar, parse_value, read_config)
-from .recordio import RecordFormatError, open_record, record_writer
+from .recordio import (RecordFormatError, RecordWriter, open_record,
+                       record_writer)
 from .reports import (_write_csv, read_estimates_csv, report_tables,
                       write_bounds_csv, write_estimates_csv,
                       write_summary_json)
-from .stream import simulate
+from .stream import _CHUNK, ExperimentConfig, _simulate_table
 from .templates import (FAMILIES, MODES, TemplateVerificationError, scan,
                         verify_template)
 
@@ -100,6 +101,13 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="required expected matches")
 
 
+def simulate(cfg: ExperimentConfig, writer: RecordWriter) -> None:
+    """Write the table path's pieces to ``writer`` as they come; perfbench
+    times this name as the stream layer."""
+    for piece in _simulate_table(cfg, None, _CHUNK):
+        writer.write(piece)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out = args.out or cfg.record_path
@@ -109,7 +117,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # each chunk is validated and written as it comes; ``out`` is replaced
     # only once the whole record is on disk
     with record_writer(out, cfg.n_photons, cfg.burn_in) as writer:
-        simulate(cfg, sink=writer.write)
+        simulate(cfg, writer)
     elapsed = time.perf_counter() - started
     rate = cfg.n_photons / elapsed if elapsed > 0 else float("inf")
     print(f"wrote {out}: {cfg.n_photons} photons "

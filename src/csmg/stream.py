@@ -23,15 +23,15 @@ quadruples, so a (config, seed) pair yields a bit-identical record
 whether it runs through the compiled transition tables or the reference
 stabilizer frame, on any host, with any chunk size.
 
-The table path works a chunk (2^17 photons) at a time and hands on
-each chunk's event bytes from one reused buffer, so a run of any length
-needs memory for one chunk: ``csmg simulate`` writes each chunk to disk
-as it comes.  It draws the chunk's uniforms in sub-blocks of 2^14
-photons into one reused (k, 4) buffer and, while that is still in
-cache, transposes it into four contiguous columns, so every decision is
-a contiguous compare on one column.  Each photon's decisions become a
-6-bit step code.  The basis and loss decision is
-``(u >= t_x) + (u >= t_xy) + (u >= p_d)``, with
+The table path, ``_simulate_table``, yields a chunk (2^17 photons) of
+event bytes at a time from one reused buffer, so a run of any length
+needs memory for one chunk: ``simulate`` copies each into its record,
+and ``csmg simulate`` writes each to disk as it comes.  It draws the
+chunk's uniforms in sub-blocks of 2^14 photons into one reused (k, 4)
+buffer and, while that is still in cache, transposes it into four
+contiguous columns, so every decision is a contiguous compare on one
+column.  Each photon's decisions become a 6-bit step code.  The basis
+and loss decision is ``(u >= t_x) + (u >= t_xy) + (u >= p_d)``, with
 thresholds found once per run as the smallest doubles whose quotient by
 p_d reaches q_x and q_x + q_y: correctly rounded division is monotone,
 so this equals the reference path's ``u / p_d`` tests exactly.  The
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -526,10 +526,8 @@ def _simulate_frame(cfg: ExperimentConfig,
 
 
 def simulate(cfg: ExperimentConfig, method: str = "table",
-             forced_bases=None, _chunk: int = _CHUNK,
-             sink: Optional[Callable[[np.ndarray], None]] = None,
-             ) -> Optional[ClickRecord]:
-    """Run the source and return its click record.
+             forced_bases=None, _chunk: int = _CHUNK) -> ClickRecord:
+    """Run the source and return its click record, held in memory.
 
     ``method`` selects the execution path: "table" (the default) is the
     compiled frontier chain, "frame" drives the stabilizer engine photon
@@ -537,10 +535,6 @@ def simulate(cfg: ExperimentConfig, method: str = "table",
     ``forced_bases`` replaces the random basis splitter with a fixed
     per-photon schedule (every photon is then detected); used by the
     template self-checks.
-    With ``sink``, no record is kept and None is returned: the event
-    bytes go to ``sink`` in photon order, one piece per call, in a buffer
-    that the next piece overwrites.  ``csmg simulate`` writes them to
-    disk this way.
     """
     forced = _normalize_forced(forced_bases, cfg.n_photons)
     if method == "table":
@@ -549,10 +543,6 @@ def simulate(cfg: ExperimentConfig, method: str = "table",
         pieces = (_simulate_frame(cfg, forced),)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if sink is not None:
-        for piece in pieces:
-            sink(piece)
-        return None
     events = np.empty(cfg.n_photons, dtype=np.uint8)
     done = 0
     for piece in pieces:

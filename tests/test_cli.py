@@ -29,7 +29,7 @@ from csmg.recordio import (HEADER_SIZE, ClickRecord, RecordFile,
                            RecordFormatError, open_record, record_writer,
                            write_record)
 from csmg.reports import read_estimates_csv, write_estimates_csv
-from csmg.stream import ExperimentConfig, simulate
+from csmg.stream import _CHUNK, ExperimentConfig, simulate
 from csmg.templates import (CorrelatorEstimate, make_template, scan,
                             slot_counts, verify_template_stream)
 
@@ -643,6 +643,32 @@ def test_analyze_full_pipeline(tmp_path):
     assert summary["direct"]["xi_e"] >= 2
 
 
+# The csmg.cli names that perfbench's tracer wraps (LAYER_OF in
+# perfbench/worker.py).  A traced run divides by their spans, so a
+# command that stops calling one breaks the trace.
+_TRACED = ("simulate", "open_record", "scan", "direct_bounds",
+           "fit_error_model", "xi_e", "read_estimates_csv",
+           "write_estimates_csv", "write_bounds_csv", "write_summary_json")
+
+
+def test_pipeline_calls_every_name_the_tracer_times(tmp_path, monkeypatch):
+    import csmg.cli as cli
+
+    calls = dict.fromkeys(_TRACED, 0)
+    for name in _TRACED:  # swap a spy into the namespace, as the tracer does
+        def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    rec, est = tmp_path / "r.csmg", tmp_path / "e.csv"
+    assert run(["simulate", "--photons", "400000", "--seed", "5",
+                "--psigma", "0.004", "--pzz", "0.008", "--out", str(rec)]) == 0
+    assert run(["scan", str(rec), "--l-values", "2,5,8", "--out", str(est)]) == 0
+    assert run(["analyze", str(est), "--out-bounds", str(tmp_path / "b.csv"),
+                "--out-summary", str(tmp_path / "s.json")]) == 0
+    assert [name for name, count in calls.items() if not count] == []
+
+
 @pytest.mark.parametrize("z", ["-3", "nan", "inf"])
 def test_analyze_bad_z_exit_code_2(tmp_path, z, capsys):
     est_path = tmp_path / "est.csv"
@@ -1018,6 +1044,15 @@ def test_simulate_takes_a_seed_past_the_double_range(tmp_path):
                 "--out", str(out)]) == 0
     cfg = ExperimentConfig(n_photons=1000, seed=int(_HUGE))
     assert np.array_equal(open_record(out).load().events, simulate(cfg).events)
+
+
+def test_simulate_writes_the_simulated_record_across_chunk_seams(tmp_path):
+    n = 3 * _CHUNK + 7  # the written pieces cross three chunk seams
+    out = tmp_path / "r.csmg"
+    assert run(["simulate", "--photons", str(n), "--pd", "0.5", "--psigma",
+                "0.01", "--pzz", "0.02", "--out", str(out)]) == 0
+    cfg = ExperimentConfig(n_photons=n, p_d=0.5, p_sigma=0.01, p_zz=0.02)
+    assert out.read_bytes()[HEADER_SIZE:] == simulate(cfg).events.tobytes()
 
 
 @pytest.mark.parametrize("existing", [None, b"an earlier record"])
