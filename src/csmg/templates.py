@@ -321,16 +321,14 @@ class CorrelatorEstimate:
 
 
 class _Accumulator:
-    __slots__ = ("count", "parity", "overlaps", "first_o", "last_o",
-                 "greedy_next")
+    __slots__ = ("count", "parity", "overlaps", "first_o", "last_o")
 
-    def __init__(self, greedy_start: int) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.parity = 0
         self.overlaps = 0
         self.first_o: Optional[int] = None
         self.last_o: Optional[int] = None
-        self.greedy_next = greedy_start
 
     def merge(self, other: "_Accumulator", span: int) -> None:
         self.count += other.count
@@ -349,32 +347,34 @@ def _consume_block(acc: _Accumulator, span: int, offsets: np.ndarray,
     """Tally a batch of matched window starts, given in increasing order
     and after every start of the batches before it.
 
-    Greedy mode keeps the first start at or past ``acc.greedy_next``, then
-    repeatedly the first start at or past the last kept one plus ``span``:
-    the orbit of that first start under the successor map ``jump[i] =
-    first j with offsets[j] >= offsets[i] + span``.  That first start, and
-    every start at least ``span`` past the start before it, is always
-    kept, since the last kept start before it is at or before that
-    predecessor.  Between two always-kept starts lies a run of close
-    starts; the orbit through a run leaves from the always-kept start
-    before it, the run's seed, and cannot jump past the one after it.
-    Pointer doubling (Wyllie 1979) walks every run's orbit at once, in
-    O(log r) vector rounds for a longest run of r starts: while the kept
-    set holds the first 2**m steps of each orbit and ``jump`` is the map
-    applied 2**m times, one round adds ``jump`` of the kept set and
+    Greedy mode selects the starts it keeps, and both modes tally the
+    same way: ``acc.last_o`` carries the last tallied start (in greedy
+    mode the last kept one) into the next batch, where a start closer
+    than ``span`` to the one before it counts as an overlap; kept windows
+    never overlap.  Greedy mode cuts the batch at ``acc.last_o + span``
+    (not a range's first batch), keeps the first start left, then
+    repeatedly the first start at or past the last kept one plus
+    ``span``: the orbit of that first start under the successor map
+    ``jump[i] = first j with offsets[j] >= offsets[i] + span``.  That
+    first start, and every start at least ``span`` past the start before
+    it, is always kept, since the last kept start before it is at or
+    before that predecessor.  Between two always-kept starts lies a run
+    of close starts; the orbit through a run leaves from the always-kept
+    start before it, the run's seed, and cannot jump past the one after
+    it.  Pointer doubling (Wyllie 1979) walks every run's orbit at once,
+    in O(log r) vector rounds for a longest run of r starts: while the
+    kept set holds the first 2**m steps of each orbit and ``jump`` is the
+    map applied 2**m times, one round adds ``jump`` of the kept set and
     squares ``jump``.  A jump out of its run goes to a sentinel that maps
-    to itself.  ``acc.greedy_next`` carries the batch's last kept start
-    plus ``span`` into the next batch, and ``acc.last_o`` carries the
-    last start into the next batch's overlap count.
+    to itself.
     """
-    if offsets.shape[0] == 0:
+    if mode == "greedy" and acc.last_o is not None:
+        i0 = int(np.searchsorted(offsets, acc.last_o + span, side="left"))
+        offsets, parities = offsets[i0:], parities[i0:]
+    k = offsets.shape[0]
+    if k == 0:
         return
     if mode == "greedy":
-        i0 = int(np.searchsorted(offsets, acc.greedy_next, side="left"))
-        offsets, parities = offsets[i0:], parities[i0:]
-        k = offsets.shape[0]
-        if k == 0:
-            return
         # close[i]: start i lies within span of start i - 1 (never i = 0, k)
         close = np.zeros(k + 1, dtype=bool)
         np.less(np.diff(offsets), span, out=close[1:k])
@@ -395,13 +395,7 @@ def _consume_block(acc: _Accumulator, span: int, offsets: np.ndarray,
                 hit[jump[hit]] = True
                 jump = jump[jump]
             keep[run[hit[:c]]] = True
-        acc.count += int(np.count_nonzero(keep))
-        acc.parity += int(parities[keep].sum(dtype=np.int64))
-        if acc.first_o is None:
-            acc.first_o = int(offsets[0])
-        acc.last_o = int(offsets[k - 1 - int(np.argmax(keep[::-1]))])
-        acc.greedy_next = acc.last_o + span
-        return
+        offsets, parities = offsets[keep], parities[keep]
     acc.count += int(offsets.shape[0])
     acc.parity += int(parities.sum(dtype=np.int64))
     if acc.last_o is not None:
@@ -477,8 +471,8 @@ def _scan_range(record: ClickRecord | RecordFile,
     Each template's matched starts and parities wait in a pending list
     until the pending total over all templates reaches _PENDING_CAP, and
     at the end of the range; then each template's pieces are tallied by
-    one ``_consume_block`` call.  ``_consume_block`` carries its greedy
-    and overlap state from one call to the next, so the tallies are those
+    one ``_consume_block`` call.  ``_consume_block`` carries the last
+    tallied start from one call to the next, so the tallies are those
     of one call per block, at a fraction of the calls: a greedy scan of
     the greedy_lossless benchmark's record, 6 templates over 58 blocks,
     makes 138 calls where one per block and template made 348.  No call
@@ -489,7 +483,7 @@ def _scan_range(record: ClickRecord | RecordFile,
     positions = [np.array([p for p, _ in t.required], dtype=np.intp)
                  for t in templates]
     halo = max(spans) - 1
-    accs = [_Accumulator(o_lo) for _ in templates]
+    accs = [_Accumulator() for _ in templates]
     size = min(chunk_size, o_hi - o_lo) + halo
     # One allocation holds the block, its basis codes, a mask per basis
     # and _MASK_ROWS dense masks (depth 1 reads the basis masks).  glibc
@@ -625,7 +619,7 @@ def scan(record: ClickRecord | RecordFile, templates: Sequence[Template], *,
     spans = [t.span for t in templates]
     o_hi = len(record) - min(spans) + 1
     if o_hi <= o_lo:
-        return [_estimate_from(t, _Accumulator(o_lo)) for t in templates]
+        return [_estimate_from(t, _Accumulator()) for t in templates]
     root = _trie(templates)
     threads = 1 if mode == "greedy" else min(threads, os.cpu_count() or 1)
     bounds = np.linspace(o_lo, o_hi, threads + 1).astype(np.int64)

@@ -705,6 +705,12 @@ def test_max_direct_length_pinned_ranges():
     assert max_direct_length("Gamma1", 0.1, 1e10) == 8
     assert max_direct_length("Gamma1", 0.5, 1e10) == 29
     assert max_direct_length("Gamma1", 0.9, 1e10) == 176
+    # an exact tie: the expected count P * budget is exactly 1.0, so the
+    # reach includes l = 5; a form of the reach that rounds otherwise
+    # (say, in logs) moves it
+    assert max_direct_length("Gamma2", 0.3, 1e6) == 5
+    p = instance_probability("Gamma2", 5, 0.3, *splitter_settings("Gamma2", 5))
+    assert p * 1e6 == 1.0
 
 
 def test_max_direct_length_builds_few_templates(monkeypatch):

@@ -959,7 +959,8 @@ def _greedy_calls(draw):
     events = (bases << 1) | (rng.random(n) < flip).astype(np.uint8)
     lost = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.1]))
     events[lost] = EVENT_LOST
-    # a chunk below the span makes greedy_next skip whole blocks
+    # a chunk below the span makes the cut past the last kept start skip
+    # whole blocks
     chunk_size = draw(st.one_of(
         st.just(1), st.integers(2, span - 1),
         st.integers(1, 1000).map(lambda k: 2 * k + 1)))
@@ -985,14 +986,13 @@ def test_greedy_matches_per_match_loop(case):
 
 def _consume_by_loop(acc, span, offsets, parities):
     for o, p in zip(offsets.tolist(), parities.tolist()):
-        if o < acc.greedy_next:
+        if acc.last_o is not None and o < acc.last_o + span:
             continue
         acc.count += 1
         acc.parity += p
         if acc.first_o is None:
             acc.first_o = o
         acc.last_o = o
-        acc.greedy_next = o + span
 
 
 def _block_offsets(rng, span, runs, start):
@@ -1024,23 +1024,23 @@ def _greedy_blocks(draw):
         # the run's starts only: every start is close to the one before
         offsets = offsets[1:]
     parities = rng.integers(0, 2, size=offsets.shape[0]).astype(np.uint8)
-    # before the block, on or just past any start, inside a run or at its
-    # seed, or past the block's last start
+    # a start kept in an earlier batch, or none (a range's first batch);
+    # the batch is cut at that start plus the span: before the block, on
+    # or just past any start, inside a run or at its seed, or past the
+    # block's last start
     i = draw(st.integers(0, offsets.shape[0] - 1))
-    greedy_next = draw(st.sampled_from([
+    cut = draw(st.sampled_from([
         0, int(offsets[0]) - 1, int(offsets[i]), int(offsets[i]) + 1,
         int(offsets[-1]) + 1]))
-    greedy_next = max(greedy_next, 0)
-    earlier = draw(st.sampled_from([None, greedy_next - span]))
-    if earlier is not None and earlier < 0:
-        earlier = None
-    return span, offsets, parities, greedy_next, earlier
+    earlier = draw(st.sampled_from([None, cut - span]))
+    return span, offsets, parities, earlier
 
 
-def _greedy_accumulators(span, offsets, parities, greedy_next, earlier):
-    got, want = _Accumulator(greedy_next), _Accumulator(greedy_next)
+def _greedy_accumulators(span, offsets, parities, earlier):
+    got, want = _Accumulator(), _Accumulator()
     if earlier is not None:
-        # a start kept in an earlier block
+        # a start kept in an earlier batch; _consume_block only compares
+        # it, so it may be negative
         for acc in (got, want):
             acc.count, acc.parity = 5, 2
             acc.first_o = acc.last_o = earlier
@@ -1051,9 +1051,8 @@ def _greedy_accumulators(span, offsets, parities, greedy_next, earlier):
 
 def _assert_same_greedy(got, want):
     assert (got.count, got.parity, got.first_o, got.last_o,
-            got.greedy_next, got.overlaps) == \
-        (want.count, want.parity, want.first_o, want.last_o,
-         want.greedy_next, 0)
+            got.overlaps) == \
+        (want.count, want.parity, want.first_o, want.last_o, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1064,14 +1063,15 @@ def test_consume_block_greedy_matches_per_match_loop(case):
 
 def test_consume_block_greedy_over_one_run_of_every_length():
     # a block that is one run of close starts, of every length up to a
-    # few doubling rounds, entered at its first start, inside it and
-    # past it
+    # few doubling rounds, entered with no earlier kept start, or after
+    # one whose cut falls before the run, at its first start, inside it
+    # or past it
     rng = np.random.default_rng(12)
     for span in (2, 5, 11):
         for length in range(0, 140):
             offsets = _block_offsets(rng, span, [length], 7)
             parities = rng.integers(0, 2, size=length + 1).astype(np.uint8)
-            for greedy_next in (0, 7, int(offsets[length // 2]) + 1,
-                                int(offsets[-1]) + 1):
+            cuts = (0, 7, int(offsets[length // 2]) + 1, int(offsets[-1]) + 1)
+            for earlier in [None] + [cut - span for cut in cuts]:
                 _assert_same_greedy(*_greedy_accumulators(
-                    span, offsets, parities, greedy_next, None))
+                    span, offsets, parities, earlier))
